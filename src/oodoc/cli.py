@@ -10,7 +10,7 @@ import argparse
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .documents import (
@@ -20,14 +20,7 @@ from .documents import (
     merge_per_class_documents,
 )
 from .dot import serialize_dot
-from .errors import (
-    ConsistencyError,
-    InputError,
-    ModelError,
-    OodocError,
-    ParseFailure,
-    SchemaError,
-)
+from .errors import InputError, OodocError
 from .evaluation import extract_links, format_report, precision_recall
 from .metrics import format_metrics, metrics_json, project_metrics
 from .model import Project, build_model, resolve_references
@@ -50,7 +43,6 @@ class RunConfig:
     include_unresolved: bool = False
     merge_method_docs: bool = False
     strict: bool = False
-    jobs: int = field(default_factory=lambda: min(8, os.cpu_count() or 1))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -82,8 +74,6 @@ def _add_input_options(sub: argparse.ArgumentParser):
         default=DEFAULT_EXTENSION,
         help=f"source file extension (default: {DEFAULT_EXTENSION})",
     )
-    sub.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1),
-                     help="parallel parsing workers")
     sub.add_argument("--strict", action="store_true",
                      help="fail (exit 2) when any source file cannot be parsed")
 
@@ -150,7 +140,6 @@ def _config_from_args(args) -> RunConfig:
         render=getattr(args, "render", False),
         renderer_path=getattr(args, "renderer", None),
         strict=args.strict,
-        jobs=max(1, args.jobs),
     )
 
 
@@ -162,10 +151,8 @@ def load_project(config: RunConfig):
             f"no source files with extension {config.source_extension!r} "
             f"under {config.input_root}"
         )
-    trees, failures = parse_files(files, config.jobs)
-    parsed = {t.path for t in trees}
-    analyzed = [f for f in files if f.path in parsed]
-    project = build_model(trees, analyzed, config.project_name)
+    trees, failures = parse_files(files)
+    project = build_model(trees, config.project_name)
     resolve_references(project)
     warnings = [w for t in trees for w in t.warnings]
     return project, failures, warnings
@@ -336,9 +323,6 @@ def main(argv=None) -> int:
         return int(code) if code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, ParseFailure, ModelError, SchemaError, ConsistencyError) as exc:
-        print(f"oodoc: error: {exc}", file=sys.stderr)
-        return 2
     except OodocError as exc:
         print(f"oodoc: error: {exc}", file=sys.stderr)
         return 2

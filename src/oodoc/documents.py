@@ -50,9 +50,6 @@ class DocumentGraph:
     nodes: list[GraphNode] = field(default_factory=list)
     edges: list[GraphEdge] = field(default_factory=list)
 
-    def node_ids(self) -> set[str]:
-        return {n.node_id for n in self.nodes}
-
     def check(self):
         ids = [n.node_id for n in self.nodes]
         if len(ids) != len(set(ids)):
@@ -204,17 +201,22 @@ def gen_method_information_document(cls: ClassEntity) -> DocumentGraph:
     return graph
 
 
-def gen_method_content_document(cls: ClassEntity, project: Project | None = None) -> DocumentGraph:
+def _class_index(project: Project) -> dict[str, ClassEntity]:
+    return {class_qualified_name(pkg, c): c for pkg in project.packages for c in pkg.classes}
+
+
+def gen_method_content_document(
+    cls: ClassEntity, project: Project | None = None, *, _index: dict[str, ClassEntity] | None = None
+) -> DocumentGraph:
     """Rows for each local variable, attribute access and invocation.
 
     When the project is supplied, accessed attributes are annotated with
     their declared type and invocations with the declaring class.
     """
-    index: dict[str, ClassEntity] = {}
-    if project is not None:
-        for pkg in project.packages:
-            for c in pkg.classes:
-                index[class_qualified_name(pkg, c)] = c
+    # generate_documents passes _index, the project's class index built
+    # once, so documenting every class stays linear in the number of classes
+    if _index is None:
+        _index = _class_index(project) if project is not None else {}
     graph = DocumentGraph("method-content", cls.name)
     for m in cls.methods:
         fields: list[tuple[str, str]] = []
@@ -222,7 +224,7 @@ def gen_method_content_document(cls: ClassEntity, project: Project | None = None
             fields.append(("local", f"{v.name} : {v.declared_type}"))
         for a in m.accesses:
             row = a.attribute_name
-            owner = index.get(a.declaring_class)
+            owner = _index.get(a.declaring_class)
             if owner is not None:
                 for attr in owner.attributes:
                     if attr.name == a.attribute_name:
@@ -370,8 +372,9 @@ def generate_documents(
                 for cls in pkg.classes
             ]
         elif kind == "method-content":
+            index = _class_index(project)
             out[kind] = [
-                (class_qualified_name(pkg, cls), gen_method_content_document(cls, project))
+                (class_qualified_name(pkg, cls), gen_method_content_document(cls, _index=index))
                 for pkg in project.packages
                 for cls in pkg.classes
             ]

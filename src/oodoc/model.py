@@ -20,7 +20,6 @@ from .parsing import (
     RawMethod,
     RawTypeDecl,
 )
-from .sources import SourceFile
 
 ACCESS_LEVELS = ("public", "protected", "private", "package-private")
 CLASS_ACCESS_LEVELS = ("public", "package-private")
@@ -126,11 +125,13 @@ def class_qualified_name(package: Package, cls: ClassEntity) -> str:
     return cls.name
 
 
-def build_model(
-    trees: list[FileSyntaxTree], files: list[SourceFile], project_name: str
-) -> Project:
-    """Assemble the containment tree; relations stay unresolved."""
-    loc = sum(f.line_count for f in files)
+def build_model(trees: list[FileSyntaxTree], project_name: str) -> Project:
+    """Assemble the containment tree; relations stay unresolved.
+
+    LoC is the sum of the trees' LoC, so files that failed to parse count
+    nothing.
+    """
+    loc = sum(tree.loc for tree in trees)
     packages: dict[str, Package] = {}
     declared_in: dict[tuple[str, str], str] = {}
     for tree in trees:

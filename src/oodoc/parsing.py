@@ -13,11 +13,14 @@ headers) aborts the file with a ParseFailure.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ParseFailure
-from .sources import SourceFile
+
+if TYPE_CHECKING:
+    from .sources import SourceFile
 
 KIND_LOCAL = "local-variable-declaration"
 KIND_INVOCATION = "method-invocation"
@@ -29,20 +32,63 @@ _MEMBER_FLAGS = ("static", "final", "abstract")
 _UNSUPPORTED_STATEMENT_KEYWORDS = {
     "do", "try", "catch", "finally", "throw", "synchronized", "assert",
 }
+# binary operator -> precedence level, loosest first
+_BINARY_LEVELS = {
+    "||": 0,
+    "&&": 1,
+    "==": 2, "!=": 2,
+    "<": 3, ">": 3, "<=": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
 
-_PUNCT = (
-    "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=",
-    "%=", "->", "...", "+", "-", "*", "/", "%", "<", ">", "=", "!", "&",
-    "|", "^", "~", "?", ":", ".", ",", ";", "(", ")", "{", "}", "[", "]",
-    "@",
+# One alternative per lexeme, tried in order at each position after the
+# blanks before it (never a newline: newlines are counted). The classes keep
+# the str predicates of the language rules: \s is isspace, \w is isalnum or
+# "_", \d is isdecimal. A number whose digits run into a non-ASCII character
+# (which may be a non-decimal digit such as "²") and any other character the
+# alternatives miss fall to "other", which _lex_other decides one at a time.
+# No possessive quantifiers (Python 3.11+): the number's lookahead fails on
+# every shorter run of its digits, and "other" never takes a blank, so
+# backtracking cannot change a match; at the end of the text there is none.
+_TOKEN_RE = re.compile(
+    r"""
+    [^\S\n]*
+    (?:
+      (?P<ident>[A-Za-z_$][\w$]*)
+    | (?P<newline>\n\s*)
+    | (?P<comment>//[^\n]*)
+    | (?P<block>/\*)
+    | (?P<punct>\.\.\.|->|[=!<>]=|&&|\|\||\+\+|--|[-+*/%]=|[-+*/%<>=!&|^~?:.,;(){}\[\]@])
+    | (?P<number>[0-9][\d.]*(?![\d.]|[^\x00-\x7f])[fFdDlL]?)
+    | (?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+    | (?P<char>'[^'\\\n]*(?:\\.[^'\\\n]*)*')
+    | (?P<other>\S)
+    )
+    """,
+    re.VERBOSE,
 )
+_IDENT_TAIL_RE = re.compile(r"[\w$]*")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # ident | number | string | char | punct | eof
-    text: str
-    line: int
+    __slots__ = ("kind", "text", "line")
+
+    def __init__(self, kind: str, text: str, line: int):
+        self.kind = kind  # ident | number | string | char | punct | eof
+        self.text = text
+        self.line = line
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return (self.kind, self.text, self.line) == (other.kind, other.text, other.line)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text, self.line))
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.text!r}, {self.line})"
 
 
 @dataclass(frozen=True)
@@ -110,6 +156,7 @@ class FileSyntaxTree:
     imports: list[str]
     type_decls: list[RawTypeDecl]
     warnings: list[ParseWarning] = field(default_factory=list)
+    loc: int = 0  # lines that hold a token
 
 
 class _Unsupported(Exception):
@@ -122,126 +169,87 @@ class _Unsupported(Exception):
 
 
 def tokenize(text: str, path: str) -> list[Token]:
+    """Split text into tokens, one master-regex match per lexeme.
+
+    Comments and blanks produce no token; the list ends with one eof token.
+    A string or char literal must close on its own line (JLS 3.10.5).
+    """
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
+    append = tokens.append
+    match = _TOKEN_RE.match
     line = 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            start_line = line
-            i += 2
-            while True:
-                if i + 1 >= n:
-                    raise ParseFailure(path, start_line, "unterminated block comment")
-                if text[i] == "\n":
-                    line += 1
-                    i += 1
-                    continue
-                if text[i] == "*" and text[i + 1] == "/":
-                    i += 2
-                    break
-                i += 1
-            continue
-        if c == '"' or c == "'":
-            quote = c
-            start_line = line
-            j = i + 1
-            while j < n:
-                if text[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if text[j] == "\n":
-                    raise ParseFailure(path, start_line, "unterminated literal")
-                if text[j] == quote:
-                    break
-                j += 1
-            else:
-                raise ParseFailure(path, start_line, "unterminated literal")
-            kind = "string" if quote == '"' else "char"
-            tokens.append(Token(kind, text[i : j + 1], line))
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "fFdDlL":
-                j += 1
-            tokens.append(Token("number", text[i:j], line))
-            i = j
-            continue
-        if c.isalpha() or c == "_" or c == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_$"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line))
-                i += len(p)
-                break
-        else:
-            raise ParseFailure(path, line, f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", line))
+    pos = 0
+    while (m := match(text, pos)) is not None:
+        kind = m.lastgroup
+        pos = m.end()
+        if kind == "newline":
+            line += m.group().count("\n")
+        elif kind == "block":
+            end = text.find("*/", pos)
+            if end < 0:
+                raise ParseFailure(path, line, "unterminated block comment")
+            line += text.count("\n", pos, end)
+            pos = end + 2
+        elif kind == "other":
+            token = _lex_other(text, pos - 1, path, line)
+            append(token)
+            pos += len(token.text) - 1
+        elif kind != "comment":
+            append(Token(kind, m.group(kind), line))
+    append(Token("eof", "", line))
     return tokens
 
 
+def _lex_other(text: str, start: int, path: str, line: int) -> Token:
+    """The token at a character the master regex leaves to code."""
+    c = text[start]
+    if c.isdigit():
+        j = start + 1
+        while j < len(text) and (text[j].isdigit() or text[j] == "."):
+            j += 1
+        if j < len(text) and text[j] in "fFdDlL":
+            j += 1
+        return Token("number", text[start:j], line)
+    if c.isalpha():
+        end = _IDENT_TAIL_RE.match(text, start + 1).end()
+        return Token("ident", text[start:end], line)
+    if c in "\"'":
+        raise ParseFailure(path, line, "unterminated literal")
+    raise ParseFailure(path, line, f"unexpected character {c!r}")
+
+
+def count_token_lines(tokens: list[Token]) -> int:
+    """LoC of one file: the number of distinct lines that hold a token."""
+    return len({tok.line for tok in tokens if tok.kind != "eof"})
+
+
 def parse_file(file: SourceFile) -> FileSyntaxTree:
-    """Parse one source file into a raw syntax tree."""
+    """Parse one source file into a raw syntax tree that records its LoC."""
     tokens = tokenize(file.text, file.path)
     try:
-        return _Parser(tokens, file.path).parse_compilation_unit()
+        tree = _Parser(tokens, file.path).parse_compilation_unit()
     except RecursionError:
         raise ParseFailure(file.path, 1, "nesting too deep to parse") from None
+    tree.loc = count_token_lines(tokens)
+    return tree
 
 
-def parse_files(
-    files: list[SourceFile], jobs: int = 1
-) -> tuple[list[FileSyntaxTree], list[ParseFailure]]:
-    """Parse many files, isolating per-file failures.
-
-    Results come back in input order no matter how many workers run; file
-    parsing shares no state so threading it is safe.
-    """
+def parse_files(files: list[SourceFile]) -> tuple[list[FileSyntaxTree], list[ParseFailure]]:
+    """Parse many files in input order, isolating per-file failures."""
     trees: list[FileSyntaxTree] = []
     failures: list[ParseFailure] = []
-
-    def attempt(f: SourceFile):
+    for f in files:
         try:
-            return parse_file(f)
+            trees.append(parse_file(f))
         except ParseFailure as exc:
-            return exc
-
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(attempt, files))
-    else:
-        results = [attempt(f) for f in files]
-    for outcome in results:
-        if isinstance(outcome, ParseFailure):
-            failures.append(outcome)
-        else:
-            trees.append(outcome)
+            failures.append(exc)
     return trees, failures
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], path: str):
-        self.tokens = tokens
+        # a second eof lets peek(1) index past the end without a bounds check
+        self.tokens = tokens + tokens[-1:]
         self.path = path
         self.pos = 0
         self.warnings: list[ParseWarning] = []
@@ -249,14 +257,14 @@ class _Parser:
     # -- token helpers -------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + offset]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "ident")
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind in ("punct", "ident")
 
     def at_kind(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -470,7 +478,7 @@ class _Parser:
         if self.at("<"):
             if for_member:
                 self.warn("generic member declarations are not supported; member skipped", line)
-                self._skip_member_tail()
+                self._skip_declaration()
                 return None
             raise _Unsupported(line, "generic type use")
         while self.at("[") and self.peek(1).text == "]":
@@ -713,7 +721,7 @@ class _Parser:
         toks = self.tokens
 
         def kindtext(j):
-            t = toks[min(j, len(toks) - 1)]
+            t = toks[j]
             return t.kind, t.text
 
         k, _ = kindtext(i)
@@ -759,7 +767,7 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def _parse_expression(self, items: list[BodyItem]) -> str:
-        text = self._parse_binary(items, 0)
+        text = self._parse_binary(items)
         tok = self.peek()
         if tok.text == "=" and tok.kind == "punct":
             self.advance()
@@ -769,25 +777,18 @@ class _Parser:
             raise _Unsupported(tok.line, f"operator {tok.text!r}")
         return text
 
-    _BINARY_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def _parse_binary(self, items: list[BodyItem], level: int) -> str:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary(items)
-        text = self._parse_binary(items, level + 1)
-        ops = self._BINARY_LEVELS[level]
-        while self.peek().kind == "punct" and self.peek().text in ops:
-            op = self.advance().text
+    def _parse_binary(self, items: list[BodyItem], min_level: int = 0) -> str:
+        """Left-associative binary operators by precedence climbing."""
+        text = self._parse_unary(items)
+        while True:
+            # only punct tokens can carry an operator's text
+            op = self.tokens[self.pos].text
+            level = _BINARY_LEVELS.get(op)
+            if level is None or level < min_level:
+                return text
+            self.pos += 1
             rhs = self._parse_binary(items, level + 1)
             text = f"{text} {op} {rhs}"
-        return text
 
     def _parse_unary(self, items: list[BodyItem]) -> str:
         tok = self.peek()
@@ -938,9 +939,6 @@ class _Parser:
                 return
             self.advance()
         self.fail("unexpected end of file inside skipped declaration")
-
-    def _skip_member_tail(self):
-        self._skip_declaration()
 
     def _recover_from_member_header(self):
         """Abandon a member after its header failed: eat params, throws, body."""

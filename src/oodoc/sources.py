@@ -1,7 +1,8 @@
 """Source file discovery and line-of-code counting.
 
-A line counts toward LoC when it is neither blank nor consists solely of
-comment text; string literals containing comment markers stay code.
+A line counts toward LoC when it holds a token: it is neither blank nor
+made only of comment text, and string literals holding comment markers stay
+code. The lexer in parsing decides this, so LoC needs no second scan.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
+from .parsing import count_token_lines, tokenize
 
 DEFAULT_EXTENSION = ".java"
 
@@ -18,11 +20,10 @@ DEFAULT_EXTENSION = ".java"
 class SourceFile:
     path: str
     text: str
-    line_count: int
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceFile":
-        return cls(path=path, text=text, line_count=count_code_lines(text))
+        return cls(path=path, text=text)
 
     @classmethod
     def read(cls, path: str | Path) -> "SourceFile":
@@ -38,85 +39,13 @@ class SourceFile:
         return cls.from_text(p.as_posix(), text)
 
 
-def count_code_lines(text: str) -> int:
-    """Count lines that contain code after comments are stripped.
-
-    Runs a small scanner so that // and /* inside string or char literals
-    do not start a comment, and so block comments spanning lines suppress
-    every line they fully cover.
-    """
-    total = 0
-    has_code = False
-    in_block = False
-    in_line = False
-    in_string = False
-    in_char = False
-    escaped = False
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            if has_code:
-                total += 1
-            has_code = False
-            in_line = False
-            # literals do not span lines in the supported subset
-            in_string = False
-            in_char = False
-            escaped = False
-            i += 1
-            continue
-        if in_line:
-            i += 1
-            continue
-        if in_block:
-            if c == "*" and i + 1 < n and text[i + 1] == "/":
-                in_block = False
-                i += 2
-                continue
-            i += 1
-            continue
-        if in_string or in_char:
-            if escaped:
-                escaped = False
-            elif c == "\\":
-                escaped = True
-            elif in_string and c == '"':
-                in_string = False
-            elif in_char and c == "'":
-                in_char = False
-            i += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            in_line = True
-            i += 2
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            in_block = True
-            i += 2
-            continue
-        if c == '"':
-            in_string = True
-            has_code = True
-            i += 1
-            continue
-        if c == "'":
-            in_char = True
-            has_code = True
-            i += 1
-            continue
-        if not c.isspace():
-            has_code = True
-        i += 1
-    if has_code:
-        total += 1
-    return total
-
-
 def count_loc(file: SourceFile) -> int:
-    """LoC contribution of one file (identical to its line_count field)."""
-    return count_code_lines(file.text)
+    """LoC of one file: the lines that hold a token, so blank lines and lines
+    of comment text alone do not count.
+
+    Raises ParseFailure when the text does not lex, as parsing does.
+    """
+    return count_token_lines(tokenize(file.text, file.path))
 
 
 def scan_directory(root: str | Path, extension: str = DEFAULT_EXTENSION) -> list[SourceFile]:

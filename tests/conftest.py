@@ -18,7 +18,7 @@ def load_fixture_project():
     files = scan_directory(FIXTURE_DIR)
     trees, failures = parse_files(files)
     assert not failures, failures
-    project = build_model(trees, files, PROJECT_NAME)
+    project = build_model(trees, PROJECT_NAME)
     return resolve_references(project)
 
 

@@ -30,7 +30,7 @@ from checks import (
 )
 from conftest import CORE_ELEMENTS, CORE_FRAME, load_fixture_project
 from genmodels import random_project, write_synthetic_corpus
-from test_sources import loc_oracle
+from oracles import loc_oracle
 
 SHAPE = f"{CORE_FRAME}.MyShape"
 PANEL = f"{CORE_FRAME}.PaintJPanel"
@@ -179,9 +179,9 @@ def test_criterion_8_scale_smoke(tmp_path):
     assert classes >= 200
     started = time.perf_counter()
     files = scan_directory(tmp_path)
-    trees, failures = parse_files(files, jobs=4)
+    trees, failures = parse_files(files)
     assert not failures
-    project = build_model(trees, files, "synthetic")
+    project = build_model(trees, "synthetic")
     resolve_references(project)
     docs = generate_documents(project)
     for result in docs.values():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import stat
 from pathlib import Path
 
@@ -60,6 +61,59 @@ def test_analyze_twice_is_byte_identical(tmp_path, capsys):
     assert analyze_into(capsys, first)[0] == 0
     assert analyze_into(capsys, second)[0] == 0
     assert tree_bytes(first) == tree_bytes(second)
+
+
+# sha256 of every file `oodoc analyze` writes for the fixture, taken with
+# oodoc 0.1.0. A refactor must keep them; a change that means to alter an
+# output updates the pin and says why.
+FIXTURE_OUTPUT_SHA256 = {
+    "docs/class-content.dot":
+        "37507dd412024ec9de8308da2720631fdc86698bec15235922a9987a59744943",
+    "docs/class-dependency.dot":
+        "2786ed92433fca327bcb78541481164db482f57c823315936d1839bc08e930ba",
+    "docs/class-info.dot":
+        "50da47616cbe46df18d1439ca6da9d39598be3267576275042423302e239ffa3",
+    "docs/method-content/Drawing.Shapes.coreElements.MyLine.dot":
+        "3a4d4247d411c782a4a9d1de8c3b0b57dcf1eb9c083b545df88a20aa367b6fc8",
+    "docs/method-content/Drawing.Shapes.coreElements.MyOval.dot":
+        "b2289caaf35d8986e8635821d83adf11fee811ef34631a142306373386e1b4ac",
+    "docs/method-content/Drawing.Shapes.coreElements.MyRectangle.dot":
+        "4a9072b0f74ee79bb764de04a6fbd992e3fccca61adeb5dc06c2b3f74455f2db",
+    "docs/method-content/Drawing.Shapes.coreFrame.DrawingShapes.dot":
+        "acc92d97fadd81da26d3ce650fb332bbe262002e7afda46ded4585b750a7c1e6",
+    "docs/method-content/Drawing.Shapes.coreFrame.MyShape.dot":
+        "3c9cf206930c93d1d7faa7a5f29802ab4e4e16918100584b736f528d2e22007a",
+    "docs/method-content/Drawing.Shapes.coreFrame.PaintJPanel.dot":
+        "0623dc31b42935d5e14ee78b0d1ba9a5fc340d3dd21af487726a5275d11c3e30",
+    "docs/method-dependency.dot":
+        "2f8d69f635646be1abc425adb7a63222c58eae39d57331677031a51524c21e64",
+    "docs/method-info/Drawing.Shapes.coreElements.MyLine.dot":
+        "a9423ba394a2af7d11998606d20d6d7597c6d1134ef0a20361b47c08481968fd",
+    "docs/method-info/Drawing.Shapes.coreElements.MyOval.dot":
+        "0fddec5c71882f3364ab60814174034ee3f8ea70ad246de3d7559c002bce1ede",
+    "docs/method-info/Drawing.Shapes.coreElements.MyRectangle.dot":
+        "4c7d1310681edab918a48c655ca342a4011005aa921d857625a4851bbcfa3708",
+    "docs/method-info/Drawing.Shapes.coreFrame.DrawingShapes.dot":
+        "e2ea9e95b53f6e6dee93260ef65fe0814c94be8588f9046670ea885dc0f1570e",
+    "docs/method-info/Drawing.Shapes.coreFrame.MyShape.dot":
+        "82dcc6bf7231be1abd24a7c97cf5442db80ff28198bdc50f469beca65fece207",
+    "docs/method-info/Drawing.Shapes.coreFrame.PaintJPanel.dot":
+        "d2010b1e785982cadee2f5e70be67a0a6431efa200dc4fa98c94e10b215c748b",
+    "docs/package.dot":
+        "b83880813c35ccc2b6b263901a04ddacdf7d17c1254ccc3b97e115bc891b94b7",
+    "metrics.txt":
+        "38e31abddae78a6aa5be5bd9e6e66ea476692ae424ea896b412488a0213e5a09",
+    "model.xml":
+        "c4812957753ecc1e0bfc957cf1162b0fcd806c9ca45a5b57b27c1484c22fdcb5",
+}
+
+
+def test_analyze_fixture_outputs_match_pinned_digests(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "analyze", str(FIXTURE_DIR), "-o", str(out))
+    assert code == 0
+    digests = {path: hashlib.sha256(data).hexdigest() for path, data in tree_bytes(out).items()}
+    assert digests == FIXTURE_OUTPUT_SHA256
 
 
 def test_analyze_empty_directory_fails(tmp_path, capsys):

@@ -16,7 +16,7 @@ from oodoc.model import (
     resolve_references,
 )
 from oodoc.parsing import parse_file
-from oodoc.sources import SourceFile
+from oodoc.sources import SourceFile, count_loc
 
 from checks import (
     assert_containment_tree,
@@ -29,7 +29,7 @@ from conftest import CORE_ELEMENTS, CORE_FRAME, load_fixture_project
 def build_from_texts(*texts: str, name: str = "demo"):
     files = [SourceFile.from_text(f"src/F{i}.java", t) for i, t in enumerate(texts)]
     trees = [parse_file(f) for f in files]
-    return build_model(trees, files, name)
+    return build_model(trees, name)
 
 
 def test_fixture_package_layout(fixture_project):
@@ -46,16 +46,14 @@ def test_fixture_package_layout(fixture_project):
 
 
 def test_zero_files_gives_empty_project():
-    project = build_model([], [], "empty")
+    project = build_model([], "empty")
     assert project.packages == []
     assert project.loc == 0
 
 
 def test_multi_declarator_becomes_two_attributes():
     project = build_model(
-        [parse_file(SourceFile.from_text("A.java", "class A { int a, b; }"))],
-        [SourceFile.from_text("A.java", "class A { int a, b; }")],
-        "p",
+        [parse_file(SourceFile.from_text("A.java", "class A { int a, b; }"))], "p"
     )
     cls = project.packages[0].classes[0]
     assert [a.name for a in cls.attributes] == ["a", "b"]
@@ -69,7 +67,7 @@ def test_duplicate_class_names_both_files():
 
 
 def test_loc_is_sum_of_file_counts(fixture_files, fixture_project):
-    assert fixture_project.loc == sum(f.line_count for f in fixture_files)
+    assert fixture_project.loc == sum(count_loc(f) for f in fixture_files)
 
 
 def test_internal_inheritance_resolves(fixture_project):

@@ -275,7 +275,7 @@ def test_parse_files_isolates_failures(tmp_path):
     assert failures[0].path.endswith("Bad.java")
 
 
-def test_parse_files_parallel_keeps_order(fixture_files):
-    sequential, _ = parse_files(fixture_files, jobs=1)
-    parallel, _ = parse_files(fixture_files, jobs=4)
-    assert sequential == parallel
+def test_parse_files_keeps_input_order(fixture_files):
+    trees, _ = parse_files(list(reversed(fixture_files)))
+    assert [t.path for t in trees] == [f.path for f in reversed(fixture_files)]
+    assert trees == [parse_file(f) for f in reversed(fixture_files)]

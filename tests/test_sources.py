@@ -1,51 +1,41 @@
 from __future__ import annotations
 
-import re
-
 import pytest
 
-from oodoc.errors import InputError
-from oodoc.sources import SourceFile, count_code_lines, count_loc, scan_directory
+from oodoc.errors import InputError, ParseFailure
+from oodoc.parsing import parse_file
+from oodoc.sources import SourceFile, count_loc, scan_directory
 
 from conftest import FIXTURE_DIR
+from oracles import loc_oracle
 
 
-def loc_oracle(text: str) -> int:
-    """Independent line-filtering count: strip block comments (keeping the
-    newline structure), drop // tails, count non-blank lines."""
-    no_blocks = re.sub(
-        r"/\*.*?\*/", lambda m: "\n" * m.group(0).count("\n"), text, flags=re.S
-    )
-    count = 0
-    for line in no_blocks.splitlines():
-        code = line.split("//", 1)[0]
-        if code.strip():
-            count += 1
-    return count
+def loc_of(text: str) -> int:
+    return count_loc(SourceFile.from_text("Test.java", text))
 
 
 def test_empty_text_counts_zero():
-    assert count_code_lines("") == 0
+    assert loc_of("") == 0
 
 
 def test_code_blank_comment_mix_counts_one():
     text = "int a = 1;\n\n// comment\n"
-    assert count_code_lines(text) == 1
+    assert loc_of(text) == 1
 
 
 def test_block_comment_lines_do_not_count():
     text = "/*\n * licence\n */\nclass A {\n}\n"
-    assert count_code_lines(text) == 2
+    assert loc_of(text) == 2
 
 
 def test_code_before_and_after_block_comment_counts():
     text = "int a; /* note\nstill comment\n end */ int b;\n"
-    assert count_code_lines(text) == 2
+    assert loc_of(text) == 2
 
 
 def test_comment_marker_inside_string_is_code():
     text = 'String s = "//not a comment";\nString t = "/*neither*/";\n'
-    assert count_code_lines(text) == 2
+    assert loc_of(text) == 2
 
 
 def test_fixture_loc_matches_independent_oracle(fixture_files):
@@ -59,12 +49,19 @@ def test_fixture_loc_matches_independent_oracle(fixture_files):
 
 def test_count_is_deterministic(fixture_files):
     for f in fixture_files:
-        assert count_code_lines(f.text) == count_code_lines(f.text)
+        assert count_loc(f) == count_loc(f)
 
 
-def test_source_file_records_line_count():
+def test_parse_file_records_loc():
     sf = SourceFile.from_text("A.java", "class A {\n}\n")
-    assert sf.line_count == 2
+    assert parse_file(sf).loc == 2
+    assert parse_file(sf).loc == count_loc(sf)
+
+
+def test_count_loc_of_text_that_does_not_lex_raises():
+    with pytest.raises(ParseFailure) as exc:
+        loc_of("class A {\n  String s = \"open;\n}\n")
+    assert (exc.value.line, exc.value.message) == (2, "unterminated literal")
 
 
 def test_scan_orders_lexicographically(tmp_path):
