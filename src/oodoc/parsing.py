@@ -172,8 +172,11 @@ def tokenize(text: str, path: str) -> list[Token]:
     """Split text into tokens, one master-regex match per lexeme.
 
     Comments and blanks produce no token; the list ends with one eof token.
-    A string or char literal must close on its own line (JLS 3.10.5).
+    LF, CR and CR LF each end a line (JLS 3.4), and a string or char literal
+    must close on its own line (JLS 3.10.5).
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     tokens: list[Token] = []
     append = tokens.append
     match = _TOKEN_RE.match
@@ -242,7 +245,10 @@ def parse_files(files: list[SourceFile]) -> tuple[list[FileSyntaxTree], list[Par
         try:
             trees.append(parse_file(f))
         except ParseFailure as exc:
-            failures.append(exc)
+            # its traceback, and that of an error it was raised while
+            # handling, would keep the file's text, tokens and parser alive
+            exc.__context__ = None
+            failures.append(exc.with_traceback(None))
     return trees, failures
 
 

@@ -7,14 +7,20 @@ AttributeAccess, MethodInvocations, MethodInvocation, MethodExceptions,
 MethodException. Serialization is byte-deterministic (two-space indent,
 fixed attribute order, UTF-8) so equal models produce identical documents,
 and parse_model(serialize_model(p)) rebuilds a structurally equal project.
+Tabs and line ends in names are written as character references, so they
+survive; a name with a character XML 1.0 cannot carry at all is refused.
+
+parse_model streams: it builds the model from expat's events and never
+holds an element tree.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
+import re
+from xml.parsers import expat
 from xml.sax.saxutils import escape
 
-from .errors import ConsistencyError, SchemaError
+from .errors import ConsistencyError, InputError, SchemaError
 from .model import (
     ACCESS_LEVELS,
     CLASS_ACCESS_LEVELS,
@@ -32,6 +38,9 @@ from .model import (
 )
 
 _XML_HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
+_PRINTABLE_ASCII = bytes(range(0x20, 0x7F))
+# a character outside XML 1.0's Char production (section 2.2)
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _attr(value: str) -> str:
@@ -55,7 +64,26 @@ class _Writer:
         self.lines.append(f"{'  ' * depth}</{tag}>")
 
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        """The document. Markup holds no tab, CR or LF within a line, so those
+        characters, where they occur, are in attribute values, and become
+        character references there: a parser would read them as spaces."""
+        lines = self.lines
+        text = "\n".join(lines) + "\n"
+        # one pass decides the common case: an ASCII document whose only
+        # control characters are the line ends between elements
+        if text.isascii() and len(text.encode("ascii").translate(None, _PRINTABLE_ASCII)) == len(lines):
+            return text
+        if text.count("\n") != len(lines):
+            text = "\n".join(line.replace("\n", "&#10;") for line in lines) + "\n"
+        text = text.replace("\r", "&#13;").replace("\t", "&#9;")
+        bad = _NOT_XML_CHAR.search(text)
+        if bad is not None:
+            line = text.count("\n", 0, bad.start()) + 1
+            raise InputError(
+                f"cannot write the model as XML: line {line} of the document would hold "
+                f"{bad.group()!r}, which XML 1.0 does not allow"
+            )
+        return text
 
 
 def serialize_model(project: Project) -> str:
@@ -223,242 +251,426 @@ _ALLOWED_ATTRS = {
     "MethodException": {"Name"},
 }
 
+# The reader builds the model from expat's start and end events, with one
+# frame per open element, and never holds an element tree. It keeps every
+# check of the tree walk it replaced, and also which error that walk reported
+# first when a document breaks several rules: the walk checked all children
+# of Project, of a Package and of a Class before it entered any of them, and
+# a class's Attributes before its Methods, while inside a Method it went in
+# document order. Each error gets a rank in that order (a tuple of phase and
+# child index per level); the reader keeps the lowest-ranked one and raises
+# it only after expat has read the whole document, so a document that is not
+# well-formed always says so.
 
-def _check(elem: ET.Element, location: str, expected: str | None = None):
-    if expected is not None and elem.tag != expected:
-        raise SchemaError(location, f"expected element {expected}, found {elem.tag}")
-    allowed = _ALLOWED_ATTRS.get(elem.tag)
+_BOOLS = {"true": True, "false": False}
+# frames whose children rank by index; inside a Method, document order ranks
+_INDEXED = {"Project", "Packages", "Package", "Classes", "Class", "Attributes", "Methods"}
+_METHOD_PARTS = {
+    "Parameters", "LocalVariables", "AttributeAccesses", "MethodInvocations", "MethodExceptions",
+}
+
+
+class _Frame:
+    """An open element: its tag and location, the entity its children go
+    into, how many children it has had, the child tags already seen, and the
+    rank prefix of errors found among its children."""
+
+    __slots__ = ("tag", "location", "entity", "count", "seen", "rank", "declared")
+
+    def __init__(self, tag, location: str, entity, rank: tuple, seen: set | None = None):
+        self.tag = tag
+        self.location = location
+        self.entity = entity
+        self.count = 0
+        self.seen = seen
+        self.rank = rank
+        self.declared = 0  # NumberOfParameters, on a Parameters frame
+
+
+def _check(tag: str, attrs: dict, location: str, expected: str | None = None):
+    if expected is not None and tag != expected:
+        raise SchemaError(location, f"expected element {expected}, found {tag}")
+    allowed = _ALLOWED_ATTRS.get(tag)
     if allowed is None:
-        raise SchemaError(location, f"unknown element {elem.tag}")
-    for name in elem.attrib:
+        raise SchemaError(location, f"unknown element {tag}")
+    for name in attrs:
         if name not in allowed:
-            raise SchemaError(location, f"unknown attribute {name} on {elem.tag}")
+            # expat's "uri}local" in ElementTree's "{uri}local" form
+            name = "{" + name if "}" in name else name
+            raise SchemaError(location, f"unknown attribute {name} on {tag}")
 
 
-def _need(elem: ET.Element, name: str, location: str) -> str:
-    if name not in elem.attrib:
-        raise SchemaError(location, f"missing attribute {name} on {elem.tag}")
-    return elem.attrib[name]
+def _superclass_rule(attrs: dict, location: str):
+    if "Superclass" in attrs:
+        if attrs["IsInterface"] == "true":
+            raise SchemaError(location, "an interface cannot carry Superclass")
+        _check_value("Class", attrs, location, "SuperclassInternal", bool)
+    elif "SuperclassInternal" in attrs:
+        raise SchemaError(location, "SuperclassInternal requires Superclass")
 
 
-def _parse_bool(value: str, location: str, name: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise SchemaError(location, f"attribute {name} must be 'true' or 'false', found {value!r}")
+def _return_type_rule(attrs: dict, location: str):
+    if attrs["IsConstructor"] == "true":
+        if "ReturnType" in attrs:
+            raise SchemaError(location, "a constructor cannot carry ReturnType")
+    elif "ReturnType" not in attrs:
+        raise SchemaError(location, "missing attribute ReturnType on Method")
 
 
-def _parse_count(value: str, location: str, name: str) -> int:
-    if not value.isdigit():
+def _super_interfaces_rule(attrs: dict, location: str):
+    if "Name" in attrs:
+        _check_value("SuperInterfaces", attrs, location, "Internal", bool)
+    elif attrs:
+        raise SchemaError(location, "SuperInterfaces carries Internal without Name")
+
+
+# The attribute rules of each element, in the order the tree walk checked
+# them: a required attribute with its kind of value (str for any text, bool,
+# int for a non-negative count, or the tuple of allowed values), or a rule
+# across attributes.
+_RULES = {
+    "Project": (("ProjectName", str), ("LinesOfCode", int)),
+    "Package": (("PackageName", str),),
+    "Class": (
+        ("classAccessLevel", CLASS_ACCESS_LEVELS), ("ClassName", str), ("IsInterface", bool),
+        _superclass_rule,
+    ),
+    "SuperInterfaces": (_super_interfaces_rule,),
+    "Attribute": (("AccessLevel", ACCESS_LEVELS), ("Name", str), ("DeclaredType", str), ("IsStatic", bool)),
+    "Method": (
+        ("MethodAccessLevel", ACCESS_LEVELS), ("IsConstructor", bool), _return_type_rule,
+        ("MethodName", str), ("IsStatic", bool),
+    ),
+    "Parameters": (("NumberOfParameters", int),),
+    "Parameter": (("Order", int), ("Name", str), ("DeclaredType", str)),
+    "LocalVariable": (("Name", str), ("DeclaredType", str)),
+    "AttributeAccess": (("Name", str), ("Resolved", bool)),
+    "MethodInvocation": (("Name", str), ("Resolved", bool)),
+    "MethodException": (("Name", str),),
+}
+
+
+def _check_value(tag: str, attrs: dict, location: str, name: str, kind):
+    value = attrs.get(name)
+    if value is None:
+        raise SchemaError(location, f"missing attribute {name} on {tag}")
+    if kind is bool and value not in _BOOLS:
+        raise SchemaError(location, f"attribute {name} must be 'true' or 'false', found {value!r}")
+    if kind is int and not value.isdecimal():
         raise SchemaError(location, f"attribute {name} must be a non-negative integer, found {value!r}")
-    return int(value)
+    if isinstance(kind, tuple) and value not in kind:
+        raise SchemaError(location, f"invalid {name} {value!r}")
+
+
+def _validate(tag: str, attrs: dict, location: str, expected: str | None = None):
+    """Raise the error the tree walk raised for this start tag, if any.
+
+    The handlers of frequent elements first test them in one expression and
+    call this only when that fails.
+    """
+    _check(tag, attrs, location, expected)
+    for rule in _RULES.get(tag, ()):
+        if callable(rule):
+            rule(attrs, location)
+        else:
+            _check_value(tag, attrs, location, *rule)
+
+
+# One start handler per parent tag. Each adds the new element's entity to
+# the parent's and pushes a frame for it, or sets reader.skip when the
+# element's content is ignored; a broken element raises SchemaError.
+
+
+def _start_root(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    loc = "Project"
+    _validate(tag, attrs, loc, "Project")
+    parent.entity = Project(name=attrs["ProjectName"], loc=int(attrs["LinesOfCode"]))
+    r.stack.append(_Frame(tag, loc, parent.entity, (1,), set()))
+
+
+def _start_in_project(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    loc = f"{parent.location}/{tag}"
+    _check(tag, attrs, loc, "Packages")
+    if parent.seen:
+        raise SchemaError(parent.location, "element Packages may appear at most once")
+    parent.seen.add(tag)
+    r.stack.append(_Frame(tag, loc, parent.entity, (3,)))
+
+
+def _start_in_packages(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    loc = f"{parent.location}/Package[{parent.count}]"
+    _validate(tag, attrs, loc, "Package")
+    pkg = Package(qualified_name=attrs["PackageName"])
+    parent.entity.packages.append(pkg)
+    r.stack.append(_Frame(tag, loc, pkg, parent.rank + (parent.count, 1), set()))
+
+
+def _start_in_package(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    loc = f"{parent.location}/{tag}"
+    _check(tag, attrs, loc, "Classes")
+    if parent.seen:
+        raise SchemaError(parent.location, "element Classes may appear at most once")
+    parent.seen.add(tag)
+    r.stack.append(_Frame(tag, loc, parent.entity, parent.rank[:-1] + (2,)))
+
+
+def _start_in_classes(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    loc = f"{parent.location}/Class[{parent.count}]"
+    _validate(tag, attrs, loc, "Class")
+    cls = ClassEntity(
+        name=attrs["ClassName"],
+        access_level=attrs["classAccessLevel"],
+        is_interface=_BOOLS[attrs["IsInterface"]],
+    )
+    if "Superclass" in attrs:
+        cls.superclass = TypeRef(attrs["Superclass"], _BOOLS[attrs["SuperclassInternal"]])
+    parent.entity.classes.append(cls)
+    r.stack.append(_Frame(tag, loc, cls, parent.rank + (parent.count, 1), set()))
+
+
+def _start_in_class(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    loc = f"{parent.location}/{tag}"
+    cls = parent.entity
+    if tag == "SuperInterfaces":
+        _validate(tag, attrs, loc)
+        if attrs:
+            cls.super_interfaces.append(TypeRef(attrs["Name"], _BOOLS[attrs["Internal"]]))
+        r.stack.append(_Frame(tag, loc, None, parent.rank + (parent.count,)))
+        return
+    _check(tag, attrs, loc)
+    if tag == "Attributes" or tag == "Methods":
+        if tag in parent.seen:
+            raise SchemaError(parent.location, f"element {tag} may appear at most once")
+        parent.seen.add(tag)
+        phase = 2 if tag == "Attributes" else 3
+        r.stack.append(_Frame(tag, loc, cls, parent.rank[:-1] + (phase,)))
+    else:
+        raise SchemaError(loc, f"element {tag} is not allowed inside Class")
+
+
+def _start_in_super_interfaces(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    raise SchemaError(parent.location, "SuperInterfaces cannot have children")
+
+
+def _start_in_attributes(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    level = attrs.get("AccessLevel")
+    is_static = _BOOLS.get(attrs.get("IsStatic"))
+    if (
+        tag != "Attribute"
+        or level not in ACCESS_LEVELS
+        or is_static is None
+        or attrs.keys() != _ALLOWED_ATTRS[tag]
+    ):
+        _validate(tag, attrs, f"{parent.location}/Attribute[{parent.count}]", "Attribute")
+    parent.entity.attributes.append(
+        AttributeEntity(attrs["Name"], attrs["DeclaredType"], level, is_static)
+    )
+    r.skip = 1
+
+
+def _start_in_methods(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    loc = f"{parent.location}/Method[{parent.count}]"
+    access = attrs.get("MethodAccessLevel")
+    is_constructor = _BOOLS.get(attrs.get("IsConstructor"))
+    is_static = _BOOLS.get(attrs.get("IsStatic"))
+    return_type = attrs.get("ReturnType")
+    if (
+        tag != "Method"
+        or access not in ACCESS_LEVELS
+        or is_constructor is None
+        or is_static is None
+        or (return_type is None) != is_constructor
+        or "MethodName" not in attrs
+        or len(attrs) != (4 if is_constructor else 5)
+    ):
+        _validate(tag, attrs, loc, "Method")
+    method = MethodEntity(attrs["MethodName"], return_type, access, is_static, is_constructor)
+    parent.entity.methods.append(method)
+    r.stack.append(_Frame(tag, loc, method, parent.rank + (parent.count,), set()))
+
+
+def _start_in_method(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    loc = f"{parent.location}/{tag}"
+    if tag in parent.seen:
+        raise SchemaError(parent.location, f"element {tag} may appear at most once here")
+    parent.seen.add(tag)
+    frame = _Frame(tag, loc, parent.entity, parent.rank)
+    if tag == "Parameters":
+        declared = attrs.get("NumberOfParameters", "")
+        if len(attrs) != 1 or not declared.isdecimal():
+            _validate(tag, attrs, loc)
+        frame.declared = int(declared)
+    elif attrs or tag not in _METHOD_PARTS:
+        _check(tag, attrs, loc)
+        raise SchemaError(loc, f"element {tag} is not allowed inside Method")
+    r.stack.append(frame)
+
+
+def _start_in_parameters(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    order = attrs.get("Order", "")
+    if tag != "Parameter" or not order.isdecimal() or attrs.keys() != _ALLOWED_ATTRS[tag]:
+        _validate(tag, attrs, f"{parent.location}/Parameter[{parent.count}]", "Parameter")
+    parent.entity.parameters.append(Parameter(attrs["Name"], attrs["DeclaredType"], int(order)))
+    r.skip = 1
+
+
+def _start_in_local_variables(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    if tag != "LocalVariable" or attrs.keys() != _ALLOWED_ATTRS[tag]:
+        _validate(tag, attrs, f"{parent.location}/LocalVariable[{parent.count}]", "LocalVariable")
+    parent.entity.local_variables.append(LocalVariableEntity(attrs["Name"], attrs["DeclaredType"]))
+    r.skip = 1
+
+
+def _resolved(parent: _Frame, tag: str, attrs: dict, expected: str) -> bool:
+    """Check an AttributeAccess or MethodInvocation; its Resolved flag."""
+    resolved = _BOOLS.get(attrs.get("Resolved"))
+    if (
+        tag != expected
+        or resolved is None
+        or "Name" not in attrs
+        or not _ALLOWED_ATTRS[tag].issuperset(attrs)
+    ):
+        _validate(tag, attrs, f"{parent.location}/{expected}[{parent.count}]", expected)
+    return resolved
+
+
+def _start_in_attribute_accesses(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    resolved = _resolved(parent, tag, attrs, "AttributeAccess")
+    parent.entity.accesses.append(
+        AccessRelation(
+            attrs["Name"], attrs.get("Receiver", ""), attrs.get("DeclaringClass", ""), resolved
+        )
+    )
+    r.skip = 1
+
+
+def _start_in_method_invocations(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    resolved = _resolved(parent, tag, attrs, "MethodInvocation")
+    parent.entity.invocations.append(
+        InvocationRelation(
+            attrs["Name"], attrs.get("Receiver", ""), attrs.get("DeclaringClass", ""), resolved
+        )
+    )
+    r.skip = 1
+
+
+def _start_in_method_exceptions(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    if tag != "MethodException" or len(attrs) != 1 or "Name" not in attrs:
+        _validate(tag, attrs, f"{parent.location}/MethodException[{parent.count}]", "MethodException")
+    parent.entity.throws.append(attrs["Name"])
+    r.skip = 1
+
+
+_STARTS = {
+    None: _start_root,
+    "Project": _start_in_project,
+    "Packages": _start_in_packages,
+    "Package": _start_in_package,
+    "Classes": _start_in_classes,
+    "Class": _start_in_class,
+    "SuperInterfaces": _start_in_super_interfaces,
+    "Attributes": _start_in_attributes,
+    "Methods": _start_in_methods,
+    "Method": _start_in_method,
+    "Parameters": _start_in_parameters,
+    "LocalVariables": _start_in_local_variables,
+    "AttributeAccesses": _start_in_attribute_accesses,
+    "MethodInvocations": _start_in_method_invocations,
+    "MethodExceptions": _start_in_method_exceptions,
+}
+
+
+# End handlers check what needs all of an element's children.
+
+
+def _end_project(frame: _Frame):
+    if not frame.seen:
+        raise SchemaError(frame.location, "missing Packages element")
+
+
+def _end_method(frame: _Frame):
+    if "Parameters" not in frame.seen:
+        raise SchemaError(frame.location, "missing Parameters element")
+
+
+def _end_parameters(frame: _Frame):
+    parameters = frame.entity.parameters
+    if frame.declared != len(parameters):
+        raise ConsistencyError(
+            frame.location,
+            f"NumberOfParameters is {frame.declared} but {len(parameters)} "
+            "Parameter children are present",
+        )
+    for i, p in enumerate(parameters):
+        if p.order != i:
+            raise ConsistencyError(frame.location, f"parameter {p.name} has Order {p.order}, expected {i}")
+
+
+_ENDS = {"Project": _end_project, "Method": _end_method, "Parameters": _end_parameters}
+
+
+class _Reader:
+    """expat's start and end handlers over a stack of frames."""
+
+    def __init__(self):
+        self.document = _Frame(None, "document", None, ())
+        self.stack = [self.document]
+        self.skip = 0  # open elements whose content is ignored
+        self.error: SchemaError | ConsistencyError | None = None
+        self.error_rank: tuple = ()
+
+    def fail(self, rank: tuple, error: SchemaError | ConsistencyError):
+        if self.error is None or rank < self.error_rank:
+            self.error = error.with_traceback(None)
+            self.error_rank = rank
+
+    def start(self, tag: str, attrs: dict):
+        if self.skip:
+            self.skip += 1
+            return
+        if "}" in tag:
+            tag = "{" + tag  # ElementTree's name for a namespaced element
+        parent = self.stack[-1]
+        parent.count += 1
+        try:
+            _STARTS[parent.tag](self, parent, tag, attrs)
+        except SchemaError as exc:
+            rank = parent.rank + (parent.count,) if parent.tag in _INDEXED else parent.rank
+            self.fail(rank, exc)
+            self.skip = 1
+
+    def end(self, tag: str):
+        if self.skip:
+            self.skip -= 1
+            return
+        frame = self.stack.pop()
+        check = _ENDS.get(frame.tag)
+        if check is not None:
+            try:
+                check(frame)
+            except (SchemaError, ConsistencyError) as exc:
+                # the walk counted a Project's Packages after checking its
+                # children and before entering them
+                self.fail((2,) if frame.tag == "Project" else frame.rank, exc)
 
 
 def parse_model(text: str) -> Project:
+    reader = _Reader()
+    parser = expat.ParserCreate(None, "}")
+    parser.StartElementHandler = reader.start
+    parser.EndElementHandler = reader.end
     try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
+        # fed as ElementTree feeds it, so that expat reports the same errors
+        parser.Parse(text, False)
+        parser.Parse("", True)
+    except expat.ExpatError as exc:
         raise SchemaError("document", f"not well-formed XML: {exc}") from exc
-    loc = "Project"
-    _check(root, loc, expected="Project")
-    project = Project(
-        name=_need(root, "ProjectName", loc),
-        loc=_parse_count(_need(root, "LinesOfCode", loc), loc, "LinesOfCode"),
-    )
-    packages_elem = None
-    for child in root:
-        _check(child, f"{loc}/{child.tag}", expected="Packages")
-        if packages_elem is not None:
-            raise SchemaError(loc, "element Packages may appear at most once")
-        packages_elem = child
-    if packages_elem is None:
-        raise SchemaError(loc, "missing Packages element")
-    for i, pkg_elem in enumerate(packages_elem, start=1):
-        ploc = f"{loc}/Packages/Package[{i}]"
-        _check(pkg_elem, ploc, expected="Package")
-        project.packages.append(_parse_package(pkg_elem, ploc))
+    if reader.error is not None:
+        error, reader.error = reader.error, None
+        try:
+            raise error
+        finally:
+            del error  # its traceback holds this frame: no cycle through it
+    project = reader.document.entity
     project.external_types = collect_external_types(project)
     return project
-
-
-def _parse_package(elem: ET.Element, location: str) -> Package:
-    pkg = Package(qualified_name=_need(elem, "PackageName", location))
-    classes_elem = None
-    for child in elem:
-        _check(child, f"{location}/{child.tag}", expected="Classes")
-        if classes_elem is not None:
-            raise SchemaError(location, "element Classes may appear at most once")
-        classes_elem = child
-    if classes_elem is not None:
-        for i, cls_elem in enumerate(classes_elem, start=1):
-            cloc = f"{location}/Classes/Class[{i}]"
-            _check(cls_elem, cloc, expected="Class")
-            pkg.classes.append(_parse_class(cls_elem, cloc))
-    return pkg
-
-
-def _parse_class(elem: ET.Element, location: str) -> ClassEntity:
-    access = _need(elem, "classAccessLevel", location)
-    if access not in CLASS_ACCESS_LEVELS:
-        raise SchemaError(location, f"invalid classAccessLevel {access!r}")
-    cls = ClassEntity(
-        name=_need(elem, "ClassName", location),
-        access_level=access,
-        is_interface=_parse_bool(_need(elem, "IsInterface", location), location, "IsInterface"),
-    )
-    if "Superclass" in elem.attrib:
-        if cls.is_interface:
-            raise SchemaError(location, "an interface cannot carry Superclass")
-        internal = _parse_bool(
-            _need(elem, "SuperclassInternal", location), location, "SuperclassInternal"
-        )
-        cls.superclass = TypeRef(elem.attrib["Superclass"], internal)
-    elif "SuperclassInternal" in elem.attrib:
-        raise SchemaError(location, "SuperclassInternal requires Superclass")
-    attributes_elem = None
-    methods_elem = None
-    for child in elem:
-        tag = child.tag
-        cloc = f"{location}/{tag}"
-        _check(child, cloc)
-        if tag == "SuperInterfaces":
-            if "Name" in child.attrib:
-                internal = _parse_bool(
-                    _need(child, "Internal", cloc), cloc, "Internal"
-                )
-                cls.super_interfaces.append(TypeRef(child.attrib["Name"], internal))
-            elif child.attrib:
-                raise SchemaError(cloc, "SuperInterfaces carries Internal without Name")
-            if len(child):
-                raise SchemaError(cloc, "SuperInterfaces cannot have children")
-        elif tag == "Attributes":
-            if attributes_elem is not None:
-                raise SchemaError(location, "element Attributes may appear at most once")
-            attributes_elem = child
-        elif tag == "Methods":
-            if methods_elem is not None:
-                raise SchemaError(location, "element Methods may appear at most once")
-            methods_elem = child
-        else:
-            raise SchemaError(cloc, f"element {tag} is not allowed inside Class")
-    if attributes_elem is not None:
-        for i, a_elem in enumerate(attributes_elem, start=1):
-            aloc = f"{location}/Attributes/Attribute[{i}]"
-            _check(a_elem, aloc, expected="Attribute")
-            level = _need(a_elem, "AccessLevel", aloc)
-            if level not in ACCESS_LEVELS:
-                raise SchemaError(aloc, f"invalid AccessLevel {level!r}")
-            cls.attributes.append(
-                AttributeEntity(
-                    name=_need(a_elem, "Name", aloc),
-                    declared_type=_need(a_elem, "DeclaredType", aloc),
-                    access_level=level,
-                    is_static=_parse_bool(_need(a_elem, "IsStatic", aloc), aloc, "IsStatic"),
-                )
-            )
-    if methods_elem is not None:
-        for i, m_elem in enumerate(methods_elem, start=1):
-            mloc = f"{location}/Methods/Method[{i}]"
-            _check(m_elem, mloc, expected="Method")
-            cls.methods.append(_parse_method(m_elem, mloc))
-    return cls
-
-
-def _parse_method(elem: ET.Element, location: str) -> MethodEntity:
-    access = _need(elem, "MethodAccessLevel", location)
-    if access not in ACCESS_LEVELS:
-        raise SchemaError(location, f"invalid MethodAccessLevel {access!r}")
-    is_constructor = _parse_bool(
-        _need(elem, "IsConstructor", location), location, "IsConstructor"
-    )
-    return_type = elem.attrib.get("ReturnType")
-    if is_constructor and return_type is not None:
-        raise SchemaError(location, "a constructor cannot carry ReturnType")
-    if not is_constructor and return_type is None:
-        raise SchemaError(location, "missing attribute ReturnType on Method")
-    method = MethodEntity(
-        name=_need(elem, "MethodName", location),
-        return_type=return_type,
-        access_level=access,
-        is_static=_parse_bool(_need(elem, "IsStatic", location), location, "IsStatic"),
-        is_constructor=is_constructor,
-    )
-    seen: set[str] = set()
-    for child in elem:
-        tag = child.tag
-        cloc = f"{location}/{tag}"
-        if tag in seen:
-            raise SchemaError(location, f"element {tag} may appear at most once here")
-        seen.add(tag)
-        _check(child, cloc)
-        if tag == "Parameters":
-            declared = _parse_count(
-                _need(child, "NumberOfParameters", cloc), cloc, "NumberOfParameters"
-            )
-            for i, p_elem in enumerate(child, start=1):
-                p_loc = f"{cloc}/Parameter[{i}]"
-                _check(p_elem, p_loc, expected="Parameter")
-                order = _parse_count(_need(p_elem, "Order", p_loc), p_loc, "Order")
-                method.parameters.append(
-                    Parameter(
-                        name=_need(p_elem, "Name", p_loc),
-                        declared_type=_need(p_elem, "DeclaredType", p_loc),
-                        order=order,
-                    )
-                )
-            if declared != len(method.parameters):
-                raise ConsistencyError(
-                    cloc,
-                    f"NumberOfParameters is {declared} but {len(method.parameters)} "
-                    "Parameter children are present",
-                )
-            for i, p in enumerate(method.parameters):
-                if p.order != i:
-                    raise ConsistencyError(
-                        cloc, f"parameter {p.name} has Order {p.order}, expected {i}"
-                    )
-        elif tag == "LocalVariables":
-            for i, v_elem in enumerate(child, start=1):
-                v_loc = f"{cloc}/LocalVariable[{i}]"
-                _check(v_elem, v_loc, expected="LocalVariable")
-                method.local_variables.append(
-                    LocalVariableEntity(
-                        name=_need(v_elem, "Name", v_loc),
-                        declared_type=_need(v_elem, "DeclaredType", v_loc),
-                    )
-                )
-        elif tag == "AttributeAccesses":
-            for i, a_elem in enumerate(child, start=1):
-                a_loc = f"{cloc}/AttributeAccess[{i}]"
-                _check(a_elem, a_loc, expected="AttributeAccess")
-                method.accesses.append(
-                    AccessRelation(
-                        attribute_name=_need(a_elem, "Name", a_loc),
-                        receiver=a_elem.attrib.get("Receiver", ""),
-                        declaring_class=a_elem.attrib.get("DeclaringClass", ""),
-                        resolved=_parse_bool(_need(a_elem, "Resolved", a_loc), a_loc, "Resolved"),
-                    )
-                )
-        elif tag == "MethodInvocations":
-            for i, inv_elem in enumerate(child, start=1):
-                i_loc = f"{cloc}/MethodInvocation[{i}]"
-                _check(inv_elem, i_loc, expected="MethodInvocation")
-                method.invocations.append(
-                    InvocationRelation(
-                        method_name=_need(inv_elem, "Name", i_loc),
-                        receiver=inv_elem.attrib.get("Receiver", ""),
-                        declaring_class=inv_elem.attrib.get("DeclaringClass", ""),
-                        resolved=_parse_bool(_need(inv_elem, "Resolved", i_loc), i_loc, "Resolved"),
-                    )
-                )
-        elif tag == "MethodExceptions":
-            for i, e_elem in enumerate(child, start=1):
-                e_loc = f"{cloc}/MethodException[{i}]"
-                _check(e_elem, e_loc, expected="MethodException")
-                method.throws.append(_need(e_elem, "Name", e_loc))
-        else:
-            raise SchemaError(cloc, f"element {tag} is not allowed inside Method")
-    if "Parameters" not in seen:
-        raise SchemaError(location, "missing Parameters element")
-    return method

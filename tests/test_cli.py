@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import stat
 from pathlib import Path
 
+import pytest
+
+from oodoc import cli
 from oodoc.cli import main
 from oodoc.xmlio import parse_model, serialize_model
 
 from conftest import FIXTURE_DIR, PROJECT_NAME, load_fixture_project
+from genmodels import write_synthetic_corpus
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -341,3 +346,87 @@ def test_outputs_never_land_in_input_root(tmp_path, capsys):
     assert run(capsys, "analyze", str(src), "-o", str(out))[0] == 0
     after = set(p.as_posix() for p in src.rglob("*"))
     assert before == after
+
+
+# Commands run with the cyclic collector off (see cli.py). That is safe
+# only while a run makes no garbage that reference counting cannot free, or
+# at most a fixed amount (argparse makes some on every call): these tests
+# run whole commands with the collector off and count what it finds after.
+
+
+def _unreachable_after(capsys, *argv) -> tuple[int, int]:
+    """The exit code of main(argv), run with the collector off, and the
+    number of unreachable objects the collector finds after it."""
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(list(argv))
+        return code, gc.collect()
+    finally:
+        gc.enable()
+        capsys.readouterr()
+
+
+def _write_troubled_corpus(root: Path, copies: int):
+    """Files that fail to lex, fail to parse, fail while a skipped construct
+    is handled, nest too deeply, or parse with warnings; and one good file."""
+    root.mkdir(parents=True)
+    for i in range(copies):
+        files = {
+            f"Lit{i}": f'class Lit{i} {{\n  String s = "open;\n}}\n',
+            f"Member{i}": f"class Member{i} {{\n  int 5x;\n}}\n",
+            f"Generic{i}": f"class Generic{i} {{ void m(List<int> x {{ }}\n",
+            f"Deep{i}": f"class Deep{i} {{ void m() {{ int x = {'(' * 3000}1{')' * 3000}; }} }}\n",
+            f"Warn{i}": f"enum E{i} {{ A }}\nclass Warn{i} {{ void m() {{ try {{ }} finally {{ }} }} }}\n",
+            f"Good{i}": f"class Good{i} {{ int a; void m() {{ a = 1; }} }}\n",
+        }
+        for name, text in files.items():
+            (root / f"{name}.java").write_text(text, encoding="utf-8")
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, capsys):
+    code, fixture = _unreachable_after(capsys, "analyze", str(FIXTURE_DIR), "-o", str(tmp_path / "f"))
+    assert code == 0
+    found: dict[str, list[int]] = {"fixture": [fixture]}
+    for size in (1, 3):
+        corpus = tmp_path / f"corpus{size}"
+        write_synthetic_corpus(corpus, packages=2 * size, classes_per_package=3 * size)
+        troubled = tmp_path / f"troubled{size}"
+        _write_troubled_corpus(troubled, size)
+        out = tmp_path / f"out{size}"
+        runs = {
+            "corpus": ("analyze", str(corpus), "-o", str(out)),
+            "troubled": ("analyze", str(troubled), "-o", str(tmp_path / f"t{size}")),
+            "evaluate": ("evaluate", "--retrieved", str(out / "model.xml"),
+                         "--reference", str(out / "model.xml")),
+        }
+        for kind, argv in runs.items():
+            code, unreachable = _unreachable_after(capsys, *argv)
+            assert code == 0, kind
+            found.setdefault(kind, []).append(unreachable)
+    for kind in ("corpus", "troubled", "evaluate"):
+        small, large = found[kind]
+        assert large <= small, found
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_state(tmp_path, capsys, monkeypatch, collecting):
+    during: list[bool] = []
+    monkeypatch.setitem(cli._COMMANDS, "metrics",
+                        lambda args: during.append(gc.isenabled()) or 0)
+    monkeypatch.delenv("OODOC_RENDERER", raising=False)
+    (tmp_path / "empty").mkdir()
+    cases = [
+        (("metrics", str(FIXTURE_DIR)), 0),
+        (("analyze", str(tmp_path / "empty")), 2),  # an OodocError
+        (("render", str(tmp_path)), 1),  # a usage error found by the command
+        (("--no-such-flag",), 1),  # a usage error found by argparse
+    ]
+    for argv, expected in cases:
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert main(list(argv)) == expected, argv
+            assert gc.isenabled() is collecting, argv
+        finally:
+            gc.enable()
+    assert during == [False]

@@ -1,9 +1,12 @@
 """The lexer against the reference lexer of oodoc 0.1.0, on the fixture and
 on seeded mutants of it.
 
-The one divergence allowed is the 0.1.0 fault kept in
-oracles.reference_tokenize: a backslash before a newline continued a
-literal. Such a literal is now "unterminated literal" at its own line.
+Two divergences are allowed, both 0.1.0 faults kept in
+oracles.reference_tokenize. A backslash before a newline continued a
+literal; such a literal is now "unterminated literal" at its own line. And
+only LF ended a line, where a lone CR was a blank and part of a literal; CR
+and CR LF now end a line too (JLS 3.4), so a text with CRs lexes as the
+reference lexes it with LF line ends.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import pytest
 
 from oodoc.errors import ParseFailure
 from oodoc.parsing import _IDENT_TAIL_RE, _TOKEN_RE, Token, count_token_lines, tokenize
+from oodoc.sources import SourceFile, count_loc
 
 from oracles import loc_oracle, reference_tokenize
 
@@ -27,10 +31,10 @@ SEED = 20160128
 # pieces of comments and literals whose boundaries matter.
 INSERTIONS = (
     '"', "'", "\\", "\\\n", "\n", "/", "*", "/*", "*/", "//", "/**/", ".", "...",
-    "->", "1.5f", "2L", "0", "$", "_", "#", "`", "\t", "\r\n", "\x00",
+    "->", "1.5f", "2L", "0", "$", "_", "#", "`", "\t", "\r\n", "\r", "\x00",
     "²", "٣", "7²", "3٣.5", "1.²f", "½", "Ⅻ", "一", "é", "ǅ", "ʰ",
     " ", " ", "　", " ", "\x85", "\x0b", "\x0c", "\x1c",
-    '"a\\"b"', "'\\''", '"/*"', '"//"', '"a\\\nb"', "'\\\n'",
+    '"a\\"b"', "'\\''", '"/*"', '"//"', '"a\\\nb"', "'\\\n'", '"a\rb"',
 )
 
 
@@ -40,6 +44,10 @@ def lex(text: str):
         return [(t.kind, t.text, t.line) for t in tokenize(text, "M.java")]
     except ParseFailure as exc:
         return (exc.line, exc.message)
+
+
+def lf_only(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def reference_lex(text: str):
@@ -68,15 +76,16 @@ def mutate(text: str, rng: random.Random) -> str:
 def loc_oracle_applies(text: str, tokens) -> bool:
     r"""Whether loc_oracle's simplifications hold for text.
 
-    loc_oracle splits lines at every str.splitlines boundary (also "\r",
-    "\x0b", "\x85", "\u2028", ...), where oodoc, like 0.1.0, counts "\n"
-    only; it does not know literals, so a "/*" or "//" inside one starts a
-    comment for it; and it strips block comments first, so a "/*" after "//"
-    on a line starts one for it.
+    loc_oracle splits lines at every str.splitlines boundary (also "\x0b",
+    "\x85", "\u2028", ...), where oodoc counts LF, CR and CR LF only; it
+    does not know literals, so a "/*" or "//" inside one starts a comment for
+    it; and it strips block comments first, so a "/*" after "//" on a line
+    starts one for it.
     """
+    lines = lf_only(text)
     return (
-        text.splitlines() == text.removesuffix("\n").split("\n")
-        and not re.search(r"/(?=/)[^\n]*?/\*", text)
+        text.splitlines() == lines.removesuffix("\n").split("\n")
+        and not re.search(r"/(?=/)[^\n]*?/\*", lines)
         and not any("/*" in t.text or "//" in t.text
                     for t in tokens if t.kind in ("string", "char"))
     )
@@ -105,14 +114,17 @@ def test_fixture_tokens_match_reference(fixture_files):
 def test_mutants_match_reference_and_loc_oracle(fixture_files):
     rng = random.Random(SEED)
     texts = [f.text for f in fixture_files]
-    lexed = failed = diverged = non_ascii = loc_checked = 0
+    lexed = failed = diverged = cr_diverged = non_ascii = loc_checked = 0
     for _ in range(MUTANTS):
         text = mutate(rng.choice(texts), rng)
         non_ascii += not text.isascii()
         new, old = lex(text), reference_lex(text)
+        if new != old and "\r" in text:
+            cr_diverged += 1
+            old = reference_lex(lf_only(text))
         if new != old:
             diverged += 1
-            assert_backslash_newline_divergence(text, new, old)
+            assert_backslash_newline_divergence(lf_only(text), new, old)
         elif isinstance(new, tuple):
             failed += 1
         else:
@@ -126,6 +138,7 @@ def test_mutants_match_reference_and_loc_oracle(fixture_files):
     assert loc_checked >= lexed * 3 // 4
     assert failed >= 50
     assert diverged >= 5
+    assert cr_diverged >= 5
     assert non_ascii >= 200
 
 
@@ -171,3 +184,23 @@ def test_tokens_compare_by_value():
     a, b = Token("ident", "x", 3), Token("ident", "x", 3)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != Token("ident", "x", 4) and a != ("ident", "x", 3)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_cr_and_crlf_end_lines_as_lf_does(fixture_files, ending):
+    for f in fixture_files:
+        text = f.text.replace(ending, "\n").replace("\n", ending)
+        assert lex(text) == lex(f.text), f.path
+        assert count_loc(SourceFile(f.path, text)) == count_loc(f), f.path
+
+
+def test_cr_only_file_counts_every_line():
+    assert count_loc(SourceFile("A.java", "class A {\r  int a;\r  int b;\r}\r")) == 4
+    tokens = tokenize("class A {\r  int a;\r\n}", "A.java")
+    assert [t.line for t in tokens] == [1, 1, 1, 2, 2, 2, 3, 3]
+
+
+def test_lone_cr_inside_a_literal_is_unterminated():
+    with pytest.raises(ParseFailure) as exc:
+        tokenize('class A {\n  String s = "a\rb";\n}\n', "A.java")
+    assert (exc.value.line, exc.value.message) == (2, "unterminated literal")

@@ -279,3 +279,22 @@ def test_parse_files_keeps_input_order(fixture_files):
     trees, _ = parse_files(list(reversed(fixture_files)))
     assert [t.path for t in trees] == [f.path for f in reversed(fixture_files)]
     assert trees == [parse_file(f) for f in reversed(fixture_files)]
+
+
+def test_stored_failure_keeps_no_traceback():
+    # a traceback, or the context of an error raised while another was
+    # handled, would keep the file's text, tokens and parser alive
+    texts = {
+        "Lit.java": 'class Lit {\n  String s = "open;\n}\n',
+        "Generic.java": "class Generic {\n  void m(List<int> x { }\n",
+        "Deep.java": f"class Deep {{ void m() {{ int x = {'(' * 3000}1{')' * 3000}; }} }}\n",
+    }
+    files = [SourceFile.from_text(path, text) for path, text in texts.items()]
+    _, failures = parse_files(files)
+    assert len(failures) == len(files)
+    for file, stored in zip(files, failures):
+        with pytest.raises(ParseFailure) as raised:
+            parse_file(file)
+        assert stored.__traceback__ is None and stored.__context__ is None
+        assert (stored.path, stored.line, stored.message) == (
+            raised.value.path, raised.value.line, raised.value.message)

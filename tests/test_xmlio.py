@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from oodoc.errors import ConsistencyError, SchemaError
-from oodoc.model import Project
+from oodoc.errors import ConsistencyError, InputError, SchemaError
+from oodoc.model import Project, collect_external_types
 from oodoc.xmlio import parse_model, serialize_model
 
 from conftest import CORE_ELEMENTS
@@ -228,3 +232,71 @@ def test_super_interfaces_round_trip():
     assert [r.name for r in cls.super_interfaces] == ["x.I", "J"]
     again = parse_model(serialize_model(project))
     assert again == project
+
+
+# XML 1.0, section 2.2: Char ::= #x9 | #xA | #xD | [#x20-#xD7FF] |
+# [#xE000-#xFFFD] | [#x10000-#x10FFFF]
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# any code point, surrogates too, with ASCII as likely as the rest
+_CHARS = st.one_of(st.integers(0, 0x7F), st.integers(0, 0x10FFFF)).map(chr)
+_NAMES = st.one_of(
+    st.lists(_CHARS, max_size=6).map("".join),
+    st.text(st.sampled_from(" \t\r\nab&<>\"'"), max_size=4),
+    st.sampled_from(["\x01", "x\x00", "\ud800", "\ufffe"]),
+)
+
+
+def _rename(entity, names):
+    """Every name in entity and in what it holds, drawn from names; access
+    levels stay, and external types are derived."""
+    for f in dataclasses.fields(entity):
+        value = getattr(entity, f.name)
+        if f.name in ("access_level", "external_types") or not f.compare:
+            continue
+        if isinstance(value, str):
+            setattr(entity, f.name, names())
+        elif isinstance(value, list):
+            if value and isinstance(value[0], str):
+                setattr(entity, f.name, [names() for _ in value])
+            for item in value:
+                if dataclasses.is_dataclass(item):
+                    _rename(item, names)
+        elif dataclasses.is_dataclass(value):
+            _rename(value, names)
+
+
+@seed(20160603)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.lists(_NAMES, min_size=1, max_size=3))
+def test_any_names_round_trip_or_are_refused(project_seed, pool):
+    project = random_project(random.Random(project_seed))
+    used: list[str] = []
+
+    def names() -> str:
+        used.append(pool[len(used) % len(pool)])
+        return used[-1]
+
+    _rename(project, names)
+    project.external_types = collect_external_types(project)
+    refused = any(_NOT_XML_CHAR.search(name) for name in used)
+    try:
+        doc = serialize_model(project)
+    except InputError:
+        assert refused
+        return
+    assert not refused
+    assert parse_model(doc) == project
+    assert serialize_model(parse_model(doc)) == doc
+
+
+def test_tabs_and_line_ends_in_names_survive():
+    name = "a\tb\nc\r\nd\re "
+    doc = serialize_model(Project(name=name, loc=1))
+    assert '"a&#9;b&#10;c&#13;&#10;d&#13;e "' in doc
+    assert parse_model(doc).name == name
+
+
+@pytest.mark.parametrize("name", ["a\x01b", "\x00", "\ud800", "\ufffe", "\uffff"])
+def test_name_xml_cannot_carry_is_refused(name):
+    with pytest.raises(InputError):
+        serialize_model(Project(name=name, loc=1))
