@@ -345,6 +345,33 @@ def merge_per_class_documents(
     return merged
 
 
+def _per_class(project: Project, generate, **options) -> list[tuple[str, DocumentGraph]]:
+    return [
+        (class_qualified_name(pkg, cls), generate(cls, **options))
+        for pkg in project.packages
+        for cls in pkg.classes
+    ]
+
+
+# kind -> generate(project, include_unresolved). Each entry looks its gen_*
+# function up when it runs, so a wrapper installed on the module's function
+# after import (a tracer, a test double) is the one called.
+_GENERATORS = {
+    "package": lambda project, _: gen_package_document(project),
+    "class-info": lambda project, _: gen_class_information_document(project),
+    "class-dependency": lambda project, _: gen_class_dependency_document(project),
+    "class-content": lambda project, _: gen_class_content_document(project),
+    "method-info": lambda project, _: _per_class(project, gen_method_information_document),
+    # the class index is built once, so the kind stays linear in the classes
+    "method-content": lambda project, _: _per_class(
+        project, gen_method_content_document, _index=_class_index(project)
+    ),
+    "method-dependency": lambda project, include_unresolved: gen_method_dependency_document(
+        project, include_unresolved
+    ),
+}
+
+
 def generate_documents(
     project: Project,
     kinds: list[str] | tuple[str, ...] = DOCUMENT_KINDS,
@@ -357,29 +384,8 @@ def generate_documents(
     """
     out: dict[str, object] = {}
     for kind in kinds:
-        if kind == "package":
-            out[kind] = gen_package_document(project)
-        elif kind == "class-info":
-            out[kind] = gen_class_information_document(project)
-        elif kind == "class-dependency":
-            out[kind] = gen_class_dependency_document(project)
-        elif kind == "class-content":
-            out[kind] = gen_class_content_document(project)
-        elif kind == "method-info":
-            out[kind] = [
-                (class_qualified_name(pkg, cls), gen_method_information_document(cls))
-                for pkg in project.packages
-                for cls in pkg.classes
-            ]
-        elif kind == "method-content":
-            index = _class_index(project)
-            out[kind] = [
-                (class_qualified_name(pkg, cls), gen_method_content_document(cls, _index=index))
-                for pkg in project.packages
-                for cls in pkg.classes
-            ]
-        elif kind == "method-dependency":
-            out[kind] = gen_method_dependency_document(project, include_unresolved)
-        else:
+        generate = _GENERATORS.get(kind)
+        if generate is None:
             raise ValueError(f"unknown document kind: {kind}")
+        out[kind] = generate(project, include_unresolved)
     return out

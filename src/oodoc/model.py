@@ -1,25 +1,23 @@
-"""The resolved source-code model: containment tree plus dependencies.
+"""The source-code model: containment tree plus dependencies.
 
 Packages own classes, classes own attributes and methods, methods own
-parameters, locals and their access/invocation relations. A second pass
-(resolve_references) decides for every supertype name and every relation
-whether it points at something inside the analyzed code or at an external
-type, and never aborts on names it cannot place.
+parameters, locals and their access/invocation relations. The parser
+builds each class with everything it owns; build_model gathers the classes
+into packages. A second pass (resolve_references) decides for every
+supertype name and every relation whether it points at something inside
+the analyzed code or at an external type, and never aborts on names it
+cannot place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import InputError, ModelError
-from .parsing import (
-    KIND_ACCESS,
-    KIND_INVOCATION,
-    KIND_LOCAL,
-    FileSyntaxTree,
-    RawMethod,
-    RawTypeDecl,
-)
+
+if TYPE_CHECKING:
+    from .parsing import FileSyntaxTree
 
 ACCESS_LEVELS = ("public", "protected", "private", "package-private")
 CLASS_ACCESS_LEVELS = ("public", "package-private")
@@ -126,25 +124,28 @@ def class_qualified_name(package: Package, cls: ClassEntity) -> str:
 
 
 def build_model(trees: list[FileSyntaxTree], project_name: str) -> Project:
-    """Assemble the containment tree; relations stay unresolved.
+    """Assemble the containment tree from the parsed classes.
 
-    LoC is the sum of the trees' LoC, so files that failed to parse count
-    nothing.
+    The project adopts the trees' class objects rather than copying them,
+    and resolve_references later changes them in place, so build each tree
+    into one project only. Relations stay unresolved here. LoC is the sum of
+    the trees' LoC, so files that failed to parse count nothing.
     """
     loc = sum(tree.loc for tree in trees)
     packages: dict[str, Package] = {}
     declared_in: dict[tuple[str, str], str] = {}
     for tree in trees:
         pkg = packages.setdefault(tree.package_name, Package(tree.package_name))
-        for decl in tree.type_decls:
-            key = (tree.package_name, decl.name)
+        for cls in tree.classes:
+            key = (tree.package_name, cls.name)
             if key in declared_in:
                 raise ModelError(
-                    f"class {decl.name} declared twice in package "
+                    f"class {cls.name} declared twice in package "
                     f"'{tree.package_name}': {declared_in[key]} and {tree.path}"
                 )
             declared_in[key] = tree.path
-            pkg.classes.append(_class_from_decl(decl, tree.imports, tree.path))
+            _check_unique_members(cls, tree.path)
+            pkg.classes.append(cls)
     # ancestors of declared packages stay in the model as empty packages
     for qname in list(packages):
         parts = qname.split(".")
@@ -155,66 +156,20 @@ def build_model(trees: list[FileSyntaxTree], project_name: str) -> Project:
     return Project(name=project_name, packages=ordered, loc=loc)
 
 
-def _class_from_decl(decl: RawTypeDecl, imports: list[str], path: str) -> ClassEntity:
-    cls = ClassEntity(
-        name=decl.name,
-        access_level=decl.access_level,
-        is_interface=decl.kind == "interface",
-        superclass=TypeRef(decl.superclass_name) if decl.superclass_name else None,
-        super_interfaces=[TypeRef(n) for n in decl.interface_names],
-        imports=list(imports),
-    )
+def _check_unique_members(cls: ClassEntity, path: str):
+    """Raise ModelError for a repeated attribute name, then for a repeated
+    method signature (name and parameter types)."""
     seen_attrs: set[str] = set()
+    for attr in cls.attributes:
+        if attr.name in seen_attrs:
+            raise ModelError(f"duplicate attribute {attr.name} in class {cls.name} ({path})")
+        seen_attrs.add(attr.name)
     seen_methods: set[tuple] = set()
-    for member in decl.members:
-        if isinstance(member, RawMethod):
-            method = MethodEntity(
-                name=member.name,
-                return_type=member.return_type,
-                access_level=member.access_level,
-                is_static=member.is_static,
-                is_constructor=member.is_constructor,
-                parameters=[
-                    Parameter(p.name, p.declared_type, i)
-                    for i, p in enumerate(member.parameters)
-                ],
-                throws=list(member.throws),
-            )
-            for item in member.body_items:
-                if item.kind == KIND_LOCAL:
-                    method.local_variables.append(
-                        LocalVariableEntity(item.name, item.type_or_receiver)
-                    )
-                elif item.kind == KIND_INVOCATION:
-                    method.invocations.append(
-                        InvocationRelation(item.name, item.type_or_receiver)
-                    )
-                elif item.kind == KIND_ACCESS:
-                    method.accesses.append(
-                        AccessRelation(item.name, item.type_or_receiver)
-                    )
-            identity = (method.name, tuple(p.declared_type for p in method.parameters))
-            if identity in seen_methods:
-                raise ModelError(
-                    f"duplicate method {method.signature} in class {decl.name} ({path})"
-                )
-            seen_methods.add(identity)
-            cls.methods.append(method)
-        else:
-            if member.name in seen_attrs:
-                raise ModelError(
-                    f"duplicate attribute {member.name} in class {decl.name} ({path})"
-                )
-            seen_attrs.add(member.name)
-            cls.attributes.append(
-                AttributeEntity(
-                    name=member.name,
-                    declared_type=member.declared_type,
-                    access_level=member.access_level,
-                    is_static=member.is_static,
-                )
-            )
-    return cls
+    for method in cls.methods:
+        identity = (method.name, tuple(p.declared_type for p in method.parameters))
+        if identity in seen_methods:
+            raise ModelError(f"duplicate method {method.signature} in class {cls.name} ({path})")
+        seen_methods.add(identity)
 
 
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_$")

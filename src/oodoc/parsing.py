@@ -1,14 +1,19 @@
 """Parser for the supported subset of a class-based OO language.
 
+The parser builds the model's entities (model.ClassEntity and what it
+owns) straight from the tokens, with every supertype name and relation
+still unresolved; model.build_model collects them into a Project.
+
 The subset covers: package declarations, imports, top-level class and
 interface declarations, attributes (multiple declarators per statement),
 constructors, methods with parameter lists and throws clauses, and method
 bodies made of local variable declarations, assignments, call expressions,
 field accesses and the if/else, for, while, switch, return and block
-statements. Everything else inside a body is skipped with a warning;
-unsupported top-level declarations (enums, generic types) are warned about
-and omitted. Structural damage (unbalanced braces, malformed declaration
-headers) aborts the file with a ParseFailure.
+statements. Everything else inside a body, and an attribute initializer
+outside the subset, is skipped with a warning; unsupported top-level
+declarations (enums, generic types) are warned about and omitted.
+Structural damage (unbalanced braces, malformed declaration headers) aborts
+the file with a ParseFailure.
 """
 
 from __future__ import annotations
@@ -18,13 +23,19 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import ParseFailure
+from .model import (
+    AccessRelation,
+    AttributeEntity,
+    ClassEntity,
+    InvocationRelation,
+    LocalVariableEntity,
+    MethodEntity,
+    Parameter,
+    TypeRef,
+)
 
 if TYPE_CHECKING:
     from .sources import SourceFile
-
-KIND_LOCAL = "local-variable-declaration"
-KIND_INVOCATION = "method-invocation"
-KIND_ACCESS = "attribute-access"
 
 _ACCESS_MODIFIERS = ("public", "protected", "private")
 _MEMBER_FLAGS = ("static", "final", "abstract")
@@ -102,59 +113,11 @@ class ParseWarning:
 
 
 @dataclass
-class BodyItem:
-    kind: str  # one of KIND_LOCAL, KIND_INVOCATION, KIND_ACCESS
-    name: str
-    type_or_receiver: str
-    position: int
-
-
-@dataclass
-class RawParameter:
-    name: str
-    declared_type: str
-
-
-@dataclass
-class RawAttribute:
-    name: str
-    declared_type: str
-    access_level: str
-    is_static: bool
-    line: int
-
-
-@dataclass
-class RawMethod:
-    name: str
-    return_type: str | None  # None for constructors
-    access_level: str
-    is_static: bool
-    is_constructor: bool
-    parameters: list[RawParameter]
-    throws: list[str]
-    body_items: list[BodyItem]
-    has_body: bool
-    line: int
-
-
-@dataclass
-class RawTypeDecl:
-    name: str
-    kind: str  # "class" | "interface"
-    access_level: str  # "public" | "package-private"
-    superclass_name: str | None
-    interface_names: list[str]  # implements for classes, extends for interfaces
-    members: list  # RawAttribute | RawMethod, in declaration order
-    line: int
-
-
-@dataclass
 class FileSyntaxTree:
     path: str
     package_name: str
-    imports: list[str]
-    type_decls: list[RawTypeDecl]
+    imports: list[str]  # shared by the classes, for name resolution
+    classes: list[ClassEntity]  # relations and supertypes unresolved
     warnings: list[ParseWarning] = field(default_factory=list)
     loc: int = 0  # lines that hold a token
 
@@ -227,7 +190,7 @@ def count_token_lines(tokens: list[Token]) -> int:
 
 
 def parse_file(file: SourceFile) -> FileSyntaxTree:
-    """Parse one source file into a raw syntax tree that records its LoC."""
+    """Parse one source file into its classes, unresolved, and its LoC."""
     tokens = tokenize(file.text, file.path)
     try:
         tree = _Parser(tokens, file.path).parse_compilation_unit()
@@ -296,12 +259,26 @@ class _Parser:
     def warn(self, message: str, line: int):
         self.warnings.append(ParseWarning(self.path, line, message))
 
+    def expect_after_expression(self, text: str):
+        """Consume text, which must follow an expression in a body or an
+        attribute initializer.
+
+        An expression stops at the first token its grammar cannot take, so
+        another token there (the "x1F" of "0x1F", the "x" of "(int) x",
+        "instanceof") is a construct outside the subset. A brace or the end
+        of the file there is structural damage and stays a ParseFailure.
+        """
+        tok = self.peek()
+        if tok.text != text and tok.text not in ("{", "}", ""):
+            raise _Unsupported(tok.line, f"token {tok.text!r} in expression")
+        self.expect(text)
+
     # -- compilation unit ----------------------------------------------
 
     def parse_compilation_unit(self) -> FileSyntaxTree:
         package_name = ""
         imports: list[str] = []
-        decls: list[RawTypeDecl] = []
+        classes: list[ClassEntity] = []
         if self.at("package"):
             self.advance()
             package_name = self._dotted_name()
@@ -319,12 +296,10 @@ class _Parser:
         while not self.at_kind("eof"):
             if self.at("package"):
                 self.fail("only one package declaration is allowed per file")
-            decl = self._parse_type_decl()
-            if decl is not None:
-                decls.append(decl)
-        tree = FileSyntaxTree(self.path, package_name, imports, decls)
-        tree.warnings = self.warnings
-        return tree
+            cls = self._parse_type_decl(imports)
+            if cls is not None:
+                classes.append(cls)
+        return FileSyntaxTree(self.path, package_name, imports, classes, self.warnings)
 
     def _dotted_name(self, allow_star: bool = False) -> str:
         parts = [self.expect_ident().text]
@@ -339,7 +314,7 @@ class _Parser:
 
     # -- type declarations ----------------------------------------------
 
-    def _parse_type_decl(self) -> RawTypeDecl | None:
+    def _parse_type_decl(self, imports: list[str]) -> ClassEntity | None:
         line = self.peek().line
         while self.at("@"):
             self._skip_annotation()
@@ -348,13 +323,9 @@ class _Parser:
             self.warn("enum declarations are not supported; declaration skipped", self.peek().line)
             self._skip_declaration()
             return None
-        if self.at("class"):
-            kind = "class"
-        elif self.at("interface"):
-            kind = "interface"
-        else:
+        if not (self.at("class") or self.at("interface")):
             self.fail(f"expected a class or interface declaration, found {self.peek().text!r}")
-        self.advance()
+        is_interface = self.advance().text == "interface"
         name = self.expect_ident().text
         if self.at("<"):
             self.warn(f"generic type {name} is not supported; declaration skipped", line)
@@ -362,40 +333,37 @@ class _Parser:
             return None
         if mods["access"] in ("protected", "private"):
             self.fail(f"{mods['access']} is not a valid top-level access level", line)
-        superclass: str | None = None
-        interfaces: list[str] = []
+        cls = ClassEntity(
+            name=name,
+            access_level="public" if mods["access"] == "public" else "package-private",
+            is_interface=is_interface,
+            imports=imports,
+        )
+        interfaces = cls.super_interfaces
         if self.at("extends"):
             self.advance()
-            first = self._dotted_name()
-            if kind == "class":
-                superclass = first
+            first = TypeRef(self._dotted_name())
+            if not is_interface:
+                cls.superclass = first
                 if self.at(","):
                     self.fail("a class can extend only one superclass")
             else:
                 interfaces.append(first)
                 while self.at(","):
                     self.advance()
-                    interfaces.append(self._dotted_name())
+                    interfaces.append(TypeRef(self._dotted_name()))
         if self.at("implements"):
-            if kind == "interface":
+            if is_interface:
                 self.fail("an interface cannot declare implements")
             self.advance()
-            interfaces.append(self._dotted_name())
+            interfaces.append(TypeRef(self._dotted_name()))
             while self.at(","):
                 self.advance()
-                interfaces.append(self._dotted_name())
+                interfaces.append(TypeRef(self._dotted_name()))
         self.expect("{")
-        members = self._parse_members(name, kind == "interface")
+        self._parse_members(cls)
         self.expect("}")
-        return RawTypeDecl(
-            name=name,
-            kind=kind,
-            access_level="public" if mods["access"] == "public" else "package-private",
-            superclass_name=superclass,
-            interface_names=interfaces,
-            members=members,
-            line=line,
-        )
+        return cls
 
     def _parse_modifiers(self, context: str) -> dict:
         access = ""
@@ -419,11 +387,11 @@ class _Parser:
     def _member_access(self, mods: dict) -> str:
         return mods["access"] if mods["access"] else "package-private"
 
-    def _parse_members(self, class_name: str, is_interface: bool) -> list:
-        members: list = []
+    def _parse_members(self, cls: ClassEntity):
+        """Append the members up to the closing brace to cls, in order."""
         while True:
             if self.at("}") or self.at_kind("eof"):
-                return members
+                return
             if self.at(";"):
                 self.advance()
                 continue
@@ -439,18 +407,9 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "ident":
                 self.fail(f"malformed member declaration, found {tok.text!r}", tok.line)
-            if tok.text == class_name and self.peek(1).text == "(":
+            if tok.text == cls.name and self.peek(1).text == "(":
                 self.advance()
-                method = self._parse_method(
-                    name=class_name,
-                    return_type=None,
-                    mods=mods,
-                    is_constructor=True,
-                    is_interface=is_interface,
-                    line=line,
-                )
-                if method is not None:
-                    members.append(method)
+                self._parse_method(cls, cls.name, None, mods)
                 continue
             declared_type = self._parse_type_use(for_member=True)
             if declared_type is None:
@@ -460,18 +419,9 @@ class _Parser:
                 self.fail(f"malformed member declaration, found {name_tok.text!r}", name_tok.line)
             name = self.advance().text
             if self.at("("):
-                method = self._parse_method(
-                    name=name,
-                    return_type=declared_type,
-                    mods=mods,
-                    is_constructor=False,
-                    is_interface=is_interface,
-                    line=line,
-                )
-                if method is not None:
-                    members.append(method)
+                self._parse_method(cls, name, declared_type, mods)
             else:
-                members.extend(self._parse_attribute_declarators(name, declared_type, mods, line))
+                self._parse_attribute_declarators(cls, name, declared_type, mods)
 
     def _parse_type_use(self, for_member: bool = False) -> str | None:
         """A type name: dotted identifiers plus [] suffixes.
@@ -494,9 +444,10 @@ class _Parser:
         return name
 
     def _parse_attribute_declarators(
-        self, first_name: str, declared_type: str, mods: dict, line: int
-    ) -> list[RawAttribute]:
-        attrs: list[RawAttribute] = []
+        self, cls: ClassEntity, first_name: str, declared_type: str, mods: dict
+    ):
+        access_level = self._member_access(mods)
+        is_static = "static" in mods["flags"]
         name = first_name
         while True:
             decl_type = declared_type
@@ -504,120 +455,106 @@ class _Parser:
                 self.advance()
                 self.advance()
                 decl_type += "[]"
-            attrs.append(
-                RawAttribute(
-                    name=name,
-                    declared_type=decl_type,
-                    access_level=self._member_access(mods),
-                    is_static="static" in mods["flags"],
-                    line=line,
-                )
-            )
+            cls.attributes.append(AttributeEntity(name, decl_type, access_level, is_static))
             if self.at("="):
                 self.advance()
+                start = self.pos
                 try:
-                    self._parse_expression([])  # initializer harvest is discarded
+                    # the initializer's harvest is discarded
+                    self._parse_expression(MethodEntity("", None))
+                    if not self.at(","):
+                        self.expect_after_expression(";")
+                        return
                 except _Unsupported as exc:
                     self.warn(f"unsupported attribute initializer ({exc.what}); skipped", exc.line)
+                    # from the start, so that brackets the error left open are matched
+                    self.pos = start
                     self._skip_to_declarator_boundary()
             if self.at(","):
                 self.advance()
                 name = self.expect_ident().text
                 continue
             self.expect(";")
-            return attrs
+            return
 
-    def _parse_method(
-        self,
-        name: str,
-        return_type: str | None,
-        mods: dict,
-        is_constructor: bool,
-        is_interface: bool,
-        line: int,
-    ) -> RawMethod | None:
+    def _parse_method(self, cls: ClassEntity, name: str, return_type: str | None, mods: dict):
+        """Append the method or constructor (return_type None) to cls,
+        unless its header is outside the subset."""
+        method = MethodEntity(
+            name,
+            return_type,
+            self._member_access(mods),
+            is_static="static" in mods["flags"],
+            is_constructor=return_type is None,
+        )
+        parameters = method.parameters
         self.expect("(")
-        parameters: list[RawParameter] = []
         if not self.at(")"):
             while True:
                 if self.at("..."):
                     self.warn(f"varargs are not supported; method {name} skipped", self.peek().line)
                     self._recover_from_member_header()
-                    return None
+                    return
                 try:
                     ptype = self._parse_type_use()
                 except _Unsupported:
                     self.warn(f"unsupported parameter type; method {name} skipped", self.peek().line)
                     self._recover_from_member_header()
-                    return None
+                    return
                 if self.at("..."):
                     self.warn(f"varargs are not supported; method {name} skipped", self.peek().line)
                     self._recover_from_member_header()
-                    return None
+                    return
                 pname = self.expect_ident().text
                 while self.at("[") and self.peek(1).text == "]":
                     self.advance()
                     self.advance()
                     ptype += "[]"
-                parameters.append(RawParameter(pname, ptype))
+                parameters.append(Parameter(pname, ptype, len(parameters)))
                 if self.at(","):
                     self.advance()
                     continue
                 break
         self.expect(")")
-        throws: list[str] = []
         if self.at("throws"):
             self.advance()
-            throws.append(self._dotted_name())
+            method.throws.append(self._dotted_name())
             while self.at(","):
                 self.advance()
-                throws.append(self._dotted_name())
-        body_items: list[BodyItem] = []
-        has_body = False
+                method.throws.append(self._dotted_name())
         if self.at(";"):
             self.advance()
         elif self.at("{"):
-            has_body = True
-            if is_interface:
+            if cls.is_interface:
                 # harvest is defined for class bodies only; skip the block
                 self.warn("interface method bodies are ignored", self.peek().line)
                 self._skip_balanced_block()
-                body_items = []
             else:
                 self.advance()
-                self._parse_block(body_items)
+                self._parse_block(method)
                 self.expect("}")
         else:
             self.fail(f"expected a method body or ';' after {name}", self.peek().line)
-        return RawMethod(
-            name=name,
-            return_type=return_type,
-            access_level=self._member_access(mods),
-            is_static="static" in mods["flags"],
-            is_constructor=is_constructor,
-            parameters=parameters,
-            throws=throws,
-            body_items=body_items,
-            has_body=has_body,
-            line=line,
-        )
+        cls.methods.append(method)
 
     # -- statements ------------------------------------------------------
+    # Each appends what it harvests to the method it is given: local
+    # variables, invocations and attribute accesses, each in source order.
 
-    def _parse_block(self, items: list[BodyItem]):
+    def _parse_block(self, method: MethodEntity):
         while not self.at("}") and not self.at_kind("eof"):
             try:
-                self._parse_statement(items)
+                self._parse_statement(method)
             except _Unsupported as exc:
                 self.warn(f"unsupported construct ({exc.what}); statement skipped", exc.line)
                 self._skip_statement_tokens()
 
-    def _parse_statement(self, items: list[BodyItem]):
+    def _parse_statement(self, method: MethodEntity):
         tok = self.peek()
         if tok.kind == "punct":
             if tok.text == "{":
                 self.advance()
-                self._parse_block(items)
+                self._parse_block(method)
                 self.expect("}")
                 return
             if tok.text == ";":
@@ -631,73 +568,75 @@ class _Parser:
             if tok.text == "if":
                 self.advance()
                 self.expect("(")
-                self._parse_expression(items)
-                self.expect(")")
-                self._parse_statement(items)
+                self._parse_expression(method)
+                self.expect_after_expression(")")
+                self._parse_statement(method)
                 if self.at("else"):
                     self.advance()
-                    self._parse_statement(items)
+                    self._parse_statement(method)
                 return
             if tok.text == "while":
                 self.advance()
                 self.expect("(")
-                self._parse_expression(items)
-                self.expect(")")
-                self._parse_statement(items)
+                self._parse_expression(method)
+                self.expect_after_expression(")")
+                self._parse_statement(method)
                 return
             if tok.text == "for":
-                self._parse_for(items)
+                self._parse_for(method)
                 return
             if tok.text == "switch":
-                self._parse_switch(items)
+                self._parse_switch(method)
                 return
             if tok.text == "return":
                 self.advance()
                 if not self.at(";"):
-                    self._parse_expression(items)
-                self.expect(";")
+                    self._parse_expression(method)
+                self.expect_after_expression(";")
                 return
             if tok.text in ("break", "continue"):
                 self.advance()
                 self.expect(";")
                 return
         if self._looks_like_declaration():
-            self._parse_local_declaration(items)
-            self.expect(";")
+            self._parse_local_declaration(method)
+            self.expect_after_expression(";")
             return
-        self._parse_expression(items)
+        self._parse_expression(method)
+        # unlike in expect_after_expression, a brace or the end of the file
+        # is skipped here too, so "a = b }" parses with a warning
         if not self.at(";"):
             raise _Unsupported(self.peek().line, f"token {self.peek().text!r} in expression")
         self.expect(";")
 
-    def _parse_for(self, items: list[BodyItem]):
+    def _parse_for(self, method: MethodEntity):
         line = self.peek().line
         self.advance()
         self.expect("(")
         if not self.at(";"):
             if self._looks_like_declaration():
-                self._parse_local_declaration(items)
+                self._parse_local_declaration(method)
                 if self.at(":"):
                     raise _Unsupported(line, "enhanced for loop")
             else:
-                self._parse_expression(items)
-        self.expect(";")
+                self._parse_expression(method)
+        self.expect_after_expression(";")
         if not self.at(";"):
-            self._parse_expression(items)
-        self.expect(";")
+            self._parse_expression(method)
+        self.expect_after_expression(";")
         if not self.at(")"):
-            self._parse_expression(items)
+            self._parse_expression(method)
             while self.at(","):
                 self.advance()
-                self._parse_expression(items)
-        self.expect(")")
-        self._parse_statement(items)
+                self._parse_expression(method)
+        self.expect_after_expression(")")
+        self._parse_statement(method)
 
-    def _parse_switch(self, items: list[BodyItem]):
+    def _parse_switch(self, method: MethodEntity):
         self.advance()
         self.expect("(")
-        self._parse_expression(items)
-        self.expect(")")
+        self._parse_expression(method)
+        self.expect_after_expression(")")
         self.expect("{")
         while not self.at("}"):
             if self.at_kind("eof"):
@@ -715,7 +654,7 @@ class _Parser:
                 self.expect(":")
                 continue
             try:
-                self._parse_statement(items)
+                self._parse_statement(method)
             except _Unsupported as exc:
                 self.warn(f"unsupported construct ({exc.what}); statement skipped", exc.line)
                 self._skip_statement_tokens()
@@ -751,20 +690,19 @@ class _Parser:
         k, t = kindtext(i)
         return (k, t) in (("punct", "="), ("punct", ","), ("punct", ";"), ("punct", ":"))
 
-    def _parse_local_declaration(self, items: list[BodyItem]):
+    def _parse_local_declaration(self, method: MethodEntity):
         declared_type = self._parse_type_use()
         while True:
-            line = self.peek().line
             name = self.expect_ident().text
             decl_type = declared_type
             while self.at("[") and self.peek(1).text == "]":
                 self.advance()
                 self.advance()
                 decl_type += "[]"
-            items.append(BodyItem(KIND_LOCAL, name, decl_type, line))
+            method.local_variables.append(LocalVariableEntity(name, decl_type))
             if self.at("="):
                 self.advance()
-                self._parse_expression(items)
+                self._parse_expression(method)
             if self.at(","):
                 self.advance()
                 continue
@@ -772,20 +710,20 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def _parse_expression(self, items: list[BodyItem]) -> str:
-        text = self._parse_binary(items)
+    def _parse_expression(self, method: MethodEntity) -> str:
+        text = self._parse_binary(method)
         tok = self.peek()
         if tok.text == "=" and tok.kind == "punct":
             self.advance()
-            rhs = self._parse_expression(items)
+            rhs = self._parse_expression(method)
             return f"{text} = {rhs}"
         if tok.kind == "punct" and tok.text in ("+=", "-=", "*=", "/=", "%=", "?", "->", "++", "--"):
             raise _Unsupported(tok.line, f"operator {tok.text!r}")
         return text
 
-    def _parse_binary(self, items: list[BodyItem], min_level: int = 0) -> str:
+    def _parse_binary(self, method: MethodEntity, min_level: int = 0) -> str:
         """Left-associative binary operators by precedence climbing."""
-        text = self._parse_unary(items)
+        text = self._parse_unary(method)
         while True:
             # only punct tokens can carry an operator's text
             op = self.tokens[self.pos].text
@@ -793,21 +731,21 @@ class _Parser:
             if level is None or level < min_level:
                 return text
             self.pos += 1
-            rhs = self._parse_binary(items, level + 1)
+            rhs = self._parse_binary(method, level + 1)
             text = f"{text} {op} {rhs}"
 
-    def _parse_unary(self, items: list[BodyItem]) -> str:
+    def _parse_unary(self, method: MethodEntity) -> str:
         tok = self.peek()
         if tok.kind == "punct" and tok.text in ("!", "-", "+"):
             self.advance()
-            return tok.text + self._parse_unary(items)
+            return tok.text + self._parse_unary(method)
         if tok.kind == "punct" and tok.text in ("++", "--", "~"):
             raise _Unsupported(tok.line, f"operator {tok.text!r}")
-        return self._parse_postfix(items)
+        return self._parse_postfix(method)
 
-    def _parse_postfix(self, items: list[BodyItem]) -> str:
-        text = self._parse_primary(items)
-        pending: tuple[str, str, int] | None = None  # (field name, receiver text, line)
+    def _parse_postfix(self, method: MethodEntity) -> str:
+        text = self._parse_primary(method)
+        pending: tuple[str, str] | None = None  # (field name, receiver text)
         while True:
             tok = self.peek()
             if tok.kind == "punct" and tok.text == "." and self.peek(1).kind == "ident":
@@ -816,48 +754,48 @@ class _Parser:
                 if self.at("("):
                     # a call consumes everything before it as receiver path
                     pending = None
-                    self._parse_arguments(items)
-                    items.append(BodyItem(KIND_INVOCATION, name_tok.text, text, name_tok.line))
+                    self._parse_arguments(method)
+                    method.invocations.append(InvocationRelation(name_tok.text, text))
                     text = f"{text}.{name_tok.text}()"
                 else:
-                    pending = (name_tok.text, text, name_tok.line)
+                    pending = (name_tok.text, text)
                     text = f"{text}.{name_tok.text}"
                 continue
             if tok.kind == "punct" and tok.text == "[":
                 self.advance()
-                self._parse_expression(items)
-                self.expect("]")
+                self._parse_expression(method)
+                self.expect_after_expression("]")
                 text = f"{text}[]"
                 continue
             break
         if pending is not None:
-            items.append(BodyItem(KIND_ACCESS, pending[0], pending[1], pending[2]))
+            method.accesses.append(AccessRelation(*pending))
         return text
 
-    def _parse_arguments(self, items: list[BodyItem]):
+    def _parse_arguments(self, method: MethodEntity):
         self.expect("(")
         if not self.at(")"):
             while True:
-                self._parse_expression(items)
+                self._parse_expression(method)
                 if self.at(","):
                     self.advance()
                     continue
                 break
-        self.expect(")")
+        self.expect_after_expression(")")
 
-    def _parse_primary(self, items: list[BodyItem]) -> str:
+    def _parse_primary(self, method: MethodEntity) -> str:
         tok = self.peek()
         if tok.kind in ("number", "string", "char"):
             self.advance()
             return tok.text
         if tok.kind == "punct" and tok.text == "(":
             self.advance()
-            self._parse_expression(items)
-            self.expect(")")
+            self._parse_expression(method)
+            self.expect_after_expression(")")
             return "(...)"
         if tok.kind == "ident":
             if tok.text == "new":
-                return self._parse_creation(items)
+                return self._parse_creation(method)
             if tok.text == "this":
                 if self.peek(1).text == "(":
                     raise _Unsupported(tok.line, "this(...) constructor delegation")
@@ -870,30 +808,30 @@ class _Parser:
                 return "super"
             self.advance()
             if self.at("("):
-                self._parse_arguments(items)
-                items.append(BodyItem(KIND_INVOCATION, tok.text, "", tok.line))
+                self._parse_arguments(method)
+                method.invocations.append(InvocationRelation(tok.text, ""))
                 return f"{tok.text}()"
             return tok.text
         raise _Unsupported(tok.line, f"token {tok.text!r} in expression")
 
-    def _parse_creation(self, items: list[BodyItem]) -> str:
+    def _parse_creation(self, method: MethodEntity) -> str:
         new_tok = self.advance()
         type_name = self._dotted_name()
         if self.at("<"):
             raise _Unsupported(new_tok.line, "generic object creation")
         if self.at("("):
-            self._parse_arguments(items)
+            self._parse_arguments(method)
             if self.at("{"):
                 raise _Unsupported(new_tok.line, "anonymous class body")
             simple = type_name.rsplit(".", 1)[-1]
-            items.append(BodyItem(KIND_INVOCATION, simple, type_name, new_tok.line))
+            method.invocations.append(InvocationRelation(simple, type_name))
             return f"new {type_name}()"
         if self.at("["):
             while self.at("["):
                 self.advance()
                 if not self.at("]"):
-                    self._parse_expression(items)
-                self.expect("]")
+                    self._parse_expression(method)
+                self.expect_after_expression("]")
             if self.at("{"):
                 raise _Unsupported(new_tok.line, "array initializer")
             return f"new {type_name}[]"

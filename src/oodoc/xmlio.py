@@ -362,6 +362,22 @@ def _check_value(tag: str, attrs: dict, location: str, name: str, kind):
         raise SchemaError(location, f"invalid {name} {value!r}")
 
 
+def _count(value: str, name: str, location: str) -> int:
+    """A count that passed isdecimal, as an int.
+
+    int() refuses more digits than sys.get_int_max_str_digits(), a limit
+    that PYTHONINTMAXSTRDIGITS can lower, so that is a SchemaError too.
+    """
+    try:
+        return int(value)
+    except ValueError:
+        raise SchemaError(
+            location,
+            f"attribute {name} must be a non-negative integer, "
+            f"found {len(value)} digits, more than int() accepts",
+        ) from None
+
+
 def _validate(tag: str, attrs: dict, location: str, expected: str | None = None):
     """Raise the error the tree walk raised for this start tag, if any.
 
@@ -384,7 +400,7 @@ def _validate(tag: str, attrs: dict, location: str, expected: str | None = None)
 def _start_root(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     loc = "Project"
     _validate(tag, attrs, loc, "Project")
-    parent.entity = Project(name=attrs["ProjectName"], loc=int(attrs["LinesOfCode"]))
+    parent.entity = Project(name=attrs["ProjectName"], loc=_count(attrs["LinesOfCode"], "LinesOfCode", loc))
     r.stack.append(_Frame(tag, loc, parent.entity, (1,), set()))
 
 
@@ -499,7 +515,7 @@ def _start_in_method(r: _Reader, parent: _Frame, tag: str, attrs: dict):
         declared = attrs.get("NumberOfParameters", "")
         if len(attrs) != 1 or not declared.isdecimal():
             _validate(tag, attrs, loc)
-        frame.declared = int(declared)
+        frame.declared = _count(declared, "NumberOfParameters", loc)
     elif attrs or tag not in _METHOD_PARTS:
         _check(tag, attrs, loc)
         raise SchemaError(loc, f"element {tag} is not allowed inside Method")
@@ -507,10 +523,13 @@ def _start_in_method(r: _Reader, parent: _Frame, tag: str, attrs: dict):
 
 
 def _start_in_parameters(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+    loc = f"{parent.location}/Parameter[{parent.count}]"
     order = attrs.get("Order", "")
     if tag != "Parameter" or not order.isdecimal() or attrs.keys() != _ALLOWED_ATTRS[tag]:
-        _validate(tag, attrs, f"{parent.location}/Parameter[{parent.count}]", "Parameter")
-    parent.entity.parameters.append(Parameter(attrs["Name"], attrs["DeclaredType"], int(order)))
+        _validate(tag, attrs, loc, "Parameter")
+    parent.entity.parameters.append(
+        Parameter(attrs["Name"], attrs["DeclaredType"], _count(order, "Order", loc))
+    )
     r.skip = 1
 
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import pytest
+
+import oodoc.documents
 from oodoc.documents import (
+    DOCUMENT_KINDS,
     gen_class_content_document,
     gen_class_dependency_document,
     gen_class_information_document,
@@ -8,6 +12,7 @@ from oodoc.documents import (
     gen_method_dependency_document,
     gen_method_information_document,
     gen_package_document,
+    generate_documents,
     merge_per_class_documents,
 )
 from oodoc.model import ClassEntity, Package, Project, class_qualified_name, lookup
@@ -304,3 +309,35 @@ def test_merge_per_class_documents(fixture_project):
     merged.check()
     assert len(merged.nodes) == 29
     assert node_by_id(merged, f"{SHAPE}::MyShape#draw(Graphics)").group == SHAPE
+
+
+def test_generate_documents_makes_every_kind_in_order(fixture_project):
+    docs = generate_documents(fixture_project)
+    assert list(docs) == list(DOCUMENT_KINDS)
+    assert [name for name, _ in docs["method-content"]] == [
+        class_qualified_name(pkg, cls) for pkg in fixture_project.packages for cls in pkg.classes
+    ]
+
+
+def test_generate_documents_rejects_an_unknown_kind(fixture_project):
+    with pytest.raises(ValueError, match="unknown document kind: nope"):
+        generate_documents(fixture_project, kinds=("package", "nope"))
+
+
+def test_generate_documents_calls_generators_replaced_after_import(fixture_project, monkeypatch):
+    # the benchmark's tracer times each kind by replacing the module's gen_* functions
+    calls = []
+    for name in dir(oodoc.documents):
+        if name.startswith("gen_"):
+            original = getattr(oodoc.documents, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(oodoc.documents, name, wrapper)
+    generate_documents(fixture_project)
+    classes = sum(len(pkg.classes) for pkg in fixture_project.packages)
+    assert sorted(set(calls)) == sorted(n for n in dir(oodoc.documents) if n.startswith("gen_"))
+    assert calls.count("gen_method_content_document") == classes
+    assert len(calls) == 5 + 2 * classes

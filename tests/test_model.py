@@ -66,6 +66,36 @@ def test_duplicate_class_names_both_files():
     assert "src/F0.java" in message and "src/F1.java" in message
 
 
+def build_one(path: str, text: str):
+    return build_model([parse_file(SourceFile.from_text(path, text))], "p")
+
+
+def test_duplicate_attribute_names_class_and_file():
+    with pytest.raises(ModelError) as exc:
+        build_one("A.java", "class A { int a; String b, a; }")
+    assert str(exc.value) == "duplicate attribute a in class A (A.java)"
+
+
+def test_duplicate_method_names_signature_and_file():
+    with pytest.raises(ModelError) as exc:
+        build_one("A.java", "class A { void m(int x) { } void m() { } int m(int y) { return y; } }")
+    assert str(exc.value) == "duplicate method m(int) in class A (A.java)"
+
+
+def test_duplicate_attribute_is_reported_before_duplicate_method():
+    with pytest.raises(ModelError) as exc:
+        build_one("A.java", "class A { void m() { } void m() { } int a; int a; }")
+    assert str(exc.value) == "duplicate attribute a in class A (A.java)"
+
+
+def test_build_model_adopts_the_parsed_classes():
+    tree = parse_file(SourceFile.from_text("A.java", "package p; import q.B; class A { } class C { }"))
+    project = build_model([tree], "p")
+    classes = [c for pkg in project.packages for c in pkg.classes]
+    assert len(classes) == 2 and all(a is b for a, b in zip(classes, tree.classes))
+    assert all(c.imports is tree.imports for c in classes)
+
+
 def test_loc_is_sum_of_file_counts(fixture_files, fixture_project):
     assert fixture_project.loc == sum(count_loc(f) for f in fixture_files)
 

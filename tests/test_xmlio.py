@@ -127,6 +127,38 @@ def test_parameter_count_mismatch_is_consistency_error():
         parse_model(doc)
 
 
+def one_parameter_document(loc: str = "0", declared: str = "1", order: str = "0") -> str:
+    return (
+        f'<Project ProjectName="P" LinesOfCode="{loc}"><Packages>'
+        '<Package PackageName="p"><Classes>'
+        '<Class ClassName="A" classAccessLevel="public" IsInterface="false">'
+        "<SuperInterfaces/><Attributes/><Methods>"
+        '<Method MethodName="m" MethodAccessLevel="public" ReturnType="void"'
+        ' IsStatic="false" IsConstructor="false">'
+        f'<Parameters NumberOfParameters="{declared}">'
+        f'<Parameter Name="a" DeclaredType="int" Order="{order}"/>'
+        "</Parameters>"
+        "<LocalVariables/><AttributeAccesses/><MethodInvocations/><MethodExceptions/>"
+        "</Method></Methods></Class></Classes></Package></Packages></Project>"
+    )
+
+
+@pytest.mark.parametrize("name, location", [
+    ("LinesOfCode", "Project"),
+    ("NumberOfParameters", "Project/Packages/Package[1]/Classes/Class[1]/Methods/Method[1]/Parameters"),
+    ("Order", "Project/Packages/Package[1]/Classes/Class[1]/Methods/Method[1]/Parameters/Parameter[1]"),
+])
+@pytest.mark.parametrize("digits", ["1" * 5000, "0" * 5000], ids=["ones", "zeros"])
+def test_count_too_long_for_int_is_schema_error(name, location, digits):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
+    key = {"LinesOfCode": "loc", "NumberOfParameters": "declared", "Order": "order"}[name]
+    assert parse_model(one_parameter_document()).loc == 0
+    with pytest.raises(SchemaError) as exc:
+        parse_model(one_parameter_document(**{key: digits}))
+    assert exc.value.location == location
+    assert f"attribute {name} must be a non-negative integer" in exc.value.message
+
+
 def test_hand_written_minimal_document():
     doc = (
         '<Project ProjectName="tiny" LinesOfCode="7">'
