@@ -40,7 +40,7 @@ from .model import (
 )
 from .parsing import FileSyntaxTree, parse_file, parse_files
 from .sources import SourceFile, count_loc, scan_directory
-from .xmlio import parse_model, serialize_model
+from .xmlio import parse_model, serialize_model, write_model
 
 __version__ = "0.1.0"
 
@@ -90,4 +90,5 @@ __all__ = [
     "serialize_dot",
     "serialize_model",
     "validate_dot",
+    "write_model",
 ]

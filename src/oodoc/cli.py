@@ -22,7 +22,7 @@ from pathlib import Path
 from .documents import (
     DOCUMENT_KINDS,
     PER_CLASS_KINDS,
-    generate_documents,
+    iter_documents,
     merge_per_class_documents,
 )
 from .dot import serialize_dot
@@ -32,7 +32,7 @@ from .metrics import format_metrics, metrics_json, project_metrics
 from .model import Project, build_model, resolve_references
 from .parsing import parse_files
 from .sources import DEFAULT_EXTENSION, scan_directory
-from .xmlio import parse_model, serialize_model
+from .xmlio import parse_model, write_model
 
 RENDERER_ENV_VAR = "OODOC_RENDERER"
 
@@ -171,30 +171,33 @@ def _report_parse_issues(failures, warnings) -> None:
         print(f"oodoc: parse failure: {f}", file=sys.stderr)
 
 
+def _write_dot(path: Path, graph) -> Path:
+    path.write_text(serialize_dot(graph), encoding="utf-8")
+    return path
+
+
 def _write_documents(project: Project, config: RunConfig, docs_dir: Path) -> list[Path]:
+    """Write the configured documents under docs_dir; return the paths.
+
+    Each document is written as soon as it is made and dropped before the
+    next is made, so at most one graph is held at a time: one kind's, or
+    for a per-class kind, one class's."""
     docs_dir.mkdir(parents=True, exist_ok=True)
-    generated = generate_documents(project, config.documents, config.include_unresolved)
     written: list[Path] = []
-    for kind in config.documents:
-        result = generated[kind]
-        if kind in PER_CLASS_KINDS:
-            parts = result
-            if config.merge_method_docs:
-                graph = merge_per_class_documents(kind, parts, project.name)
-                path = docs_dir / f"{kind}.dot"
-                path.write_text(serialize_dot(graph), encoding="utf-8")
-                written.append(path)
-            else:
-                subdir = docs_dir / kind
-                subdir.mkdir(parents=True, exist_ok=True)
-                for qname, graph in parts:
-                    path = subdir / f"{qname}.dot"
-                    path.write_text(serialize_dot(graph), encoding="utf-8")
-                    written.append(path)
+    for kind, document in iter_documents(project, config.documents, config.include_unresolved):
+        if kind not in PER_CLASS_KINDS:
+            written.append(_write_dot(docs_dir / f"{kind}.dot", document))
+        elif config.merge_method_docs:
+            merged = merge_per_class_documents(kind, document, project.name)
+            written.append(_write_dot(docs_dir / f"{kind}.dot", merged))
+            del merged
         else:
-            path = docs_dir / f"{kind}.dot"
-            path.write_text(serialize_dot(result), encoding="utf-8")
-            written.append(path)
+            subdir = docs_dir / kind
+            subdir.mkdir(parents=True, exist_ok=True)
+            for qname, graph in document:
+                written.append(_write_dot(subdir / f"{qname}.dot", graph))
+                del graph  # before the next class's graph is made
+        del document  # before the next kind is made
     return written
 
 
@@ -231,7 +234,7 @@ def run_analyze(args) -> int:
     _report_parse_issues(failures, warnings)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "model.xml").write_text(serialize_model(project), encoding="utf-8")
+    write_model(project, out / "model.xml")
     metrics_text = format_metrics(project_metrics(project))
     (out / "metrics.txt").write_text(metrics_text, encoding="utf-8")
     sys.stdout.write(metrics_text)

@@ -8,6 +8,7 @@ the rendered output.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .metrics import class_metrics, project_metrics
@@ -322,7 +323,7 @@ def gen_method_dependency_document(
 
 
 def merge_per_class_documents(
-    kind: str, parts: list[tuple[str, DocumentGraph]], name: str
+    kind: str, parts: Iterable[tuple[str, DocumentGraph]], name: str
 ) -> DocumentGraph:
     """Combine per-class documents into one file, one qualifier per class."""
     merged = DocumentGraph(kind, name)
@@ -345,12 +346,13 @@ def merge_per_class_documents(
     return merged
 
 
-def _per_class(project: Project, generate, **options) -> list[tuple[str, DocumentGraph]]:
-    return [
+def _per_class(project: Project, generate, **options) -> Iterator[tuple[str, DocumentGraph]]:
+    # lazy: each class's graph is made when the consumer reaches it
+    return (
         (class_qualified_name(pkg, cls), generate(cls, **options))
         for pkg in project.packages
         for cls in pkg.classes
-    ]
+    )
 
 
 # kind -> generate(project, include_unresolved). Each entry looks its gen_*
@@ -372,20 +374,38 @@ _GENERATORS = {
 }
 
 
+def iter_documents(
+    project: Project,
+    kinds: list[str] | tuple[str, ...] = DOCUMENT_KINDS,
+    include_unresolved: bool = False,
+) -> Iterator[tuple[str, object]]:
+    """Yield (kind, document) for each requested kind, in order, making
+    each kind only when the consumer asks for it.
+
+    A project-level kind's document is a single DocumentGraph; a per-class
+    kind's is an iterator of (class qualified name, DocumentGraph) pairs
+    that makes each class's graph when it reaches that class. A consumer
+    that drops each graph before asking for the next holds one at a time.
+    """
+    for kind in kinds:
+        generate = _GENERATORS.get(kind)
+        if generate is None:
+            raise ValueError(f"unknown document kind: {kind}")
+        yield kind, generate(project, include_unresolved)
+
+
 def generate_documents(
     project: Project,
     kinds: list[str] | tuple[str, ...] = DOCUMENT_KINDS,
     include_unresolved: bool = False,
 ) -> dict[str, object]:
-    """Generate the requested documents.
+    """Generate the requested documents and hold them all.
 
     Project-level kinds map to a single DocumentGraph; per-class kinds map
-    to a list of (class qualified name, DocumentGraph) pairs.
+    to a list of (class qualified name, DocumentGraph) pairs. The documents
+    are those of iter_documents, which makes one at a time.
     """
-    out: dict[str, object] = {}
-    for kind in kinds:
-        generate = _GENERATORS.get(kind)
-        if generate is None:
-            raise ValueError(f"unknown document kind: {kind}")
-        out[kind] = generate(project, include_unresolved)
-    return out
+    return {
+        kind: list(document) if kind in PER_CLASS_KINDS else document
+        for kind, document in iter_documents(project, kinds, include_unresolved)
+    }

@@ -14,6 +14,7 @@ independent check that generated files really are DOT.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import DotParseError
@@ -36,19 +37,15 @@ EDGE_STYLES = {
     "contains": {"arrowhead": "odiamond"},
 }
 
-_RECORD_SPECIALS = '\\{}|<>"'
+_RECORD_SPECIAL = re.compile(r'[\\{}|<>"\n]')
+# a record special gets a backslash; a line end becomes a space
+_RECORD_ESCAPES = str.maketrans({c: "\\" + c for c in '\\{}|<>"'} | {"\n": " "})
 
 
 def _escape_record(text: str) -> str:
-    out = []
-    for c in text:
-        if c in _RECORD_SPECIALS:
-            out.append("\\" + c)
-        elif c == "\n":
-            out.append(" ")
-        else:
-            out.append(c)
-    return "".join(out)
+    if _RECORD_SPECIAL.search(text) is None:
+        return text
+    return text.translate(_RECORD_ESCAPES)
 
 
 def _quote(text: str) -> str:

@@ -10,15 +10,18 @@ and parse_model(serialize_model(p)) rebuilds a structurally equal project.
 Tabs and line ends in names are written as character references, so they
 survive; a name with a character XML 1.0 cannot carry at all is refused.
 
-parse_model streams: it builds the model from expat's events and never
-holds an element tree.
+Both directions stream. write_model writes the document a piece at a time
+from the same writer whose pieces serialize_model joins, and parse_model
+builds the model from expat's events and never holds an element tree.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
+from collections.abc import Iterator
 from xml.parsers import expat
-from xml.sax.saxutils import escape
 
 from .errors import ConsistencyError, InputError, SchemaError
 from .model import (
@@ -39,12 +42,16 @@ from .model import (
 
 _XML_HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
 _PRINTABLE_ASCII = bytes(range(0x20, 0x7F))
+# lines per piece of the written document: large enough that a write call
+# costs little, small enough that a piece is a few hundred kilobytes
+_CHUNK_LINES = 4096
 # a character outside XML 1.0's Char production (section 2.2)
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _attr(value: str) -> str:
-    return escape(value, {'"': "&quot;"})
+    # "&" first, so that the entities the later replacements add stay whole
+    return value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").replace('"', "&quot;")
 
 
 def _bool(value: bool) -> str:
@@ -54,6 +61,7 @@ def _bool(value: bool) -> str:
 class _Writer:
     def __init__(self):
         self.lines = [_XML_HEADER]
+        self.lines_taken = 0  # lines already handed out by take()
 
     def open(self, depth: int, tag: str, attrs: list[tuple[str, str]], empty: bool = False):
         parts = "".join(f' {name}="{_attr(value)}"' for name, value in attrs)
@@ -63,14 +71,20 @@ class _Writer:
     def close(self, depth: int, tag: str):
         self.lines.append(f"{'  ' * depth}</{tag}>")
 
-    def text(self) -> str:
-        """The document. Markup holds no tab, CR or LF within a line, so those
-        characters, where they occur, are in attribute values, and become
-        character references there: a parser would read them as spaces."""
+    def take(self) -> str:
+        """The lines written since the last take, as text, and forget them.
+
+        Markup holds no tab, CR or LF within a line, so those characters,
+        where they occur, are in attribute values, and become character
+        references there: a parser would read them as spaces. The error for
+        a character XML cannot carry counts lines from the document's start."""
         lines = self.lines
+        self.lines = []
+        first_line = self.lines_taken + 1
+        self.lines_taken += len(lines)
         text = "\n".join(lines) + "\n"
-        # one pass decides the common case: an ASCII document whose only
-        # control characters are the line ends between elements
+        # one pass decides the common case: ASCII text whose only control
+        # characters are the line ends between elements
         if text.isascii() and len(text.encode("ascii").translate(None, _PRINTABLE_ASCII)) == len(lines):
             return text
         if text.count("\n") != len(lines):
@@ -78,7 +92,7 @@ class _Writer:
         text = text.replace("\r", "&#13;").replace("\t", "&#9;")
         bad = _NOT_XML_CHAR.search(text)
         if bad is not None:
-            line = text.count("\n", 0, bad.start()) + 1
+            line = first_line + text.count("\n", 0, bad.start())
             raise InputError(
                 f"cannot write the model as XML: line {line} of the document would hold "
                 f"{bad.group()!r}, which XML 1.0 does not allow"
@@ -86,27 +100,59 @@ class _Writer:
         return text
 
 
-def serialize_model(project: Project) -> str:
+def _model_chunks(project: Project) -> Iterator[str]:
+    """The document as consecutive pieces of whole lines, each checked and
+    escaped before it is yielded; a piece ends after the class that brings
+    it to _CHUNK_LINES lines or more, or at the end of the document."""
     w = _Writer()
     project_attrs = [("ProjectName", project.name), ("LinesOfCode", str(project.loc))]
     w.open(0, "Project", project_attrs)
     if project.packages:
         w.open(1, "Packages", [])
         for pkg in project.packages:
-            _write_package(w, pkg)
+            yield from _write_package(w, pkg)
         w.close(1, "Packages")
     else:
         w.open(1, "Packages", [], empty=True)
     w.close(0, "Project")
-    return w.text()
+    yield w.take()
 
 
-def _write_package(w: _Writer, pkg: Package):
+def serialize_model(project: Project) -> str:
+    """The model's XML document as one string.
+
+    It joins the pieces that write_model writes, so both give the same
+    text; InputError if a name holds a character XML 1.0 cannot carry."""
+    return "".join(_model_chunks(project))
+
+
+def write_model(project: Project, path: str | os.PathLike) -> None:
+    """Write serialize_model(project) to path as UTF-8, a piece at a time,
+    so the whole document is never held in memory.
+
+    The pieces go to a sibling file, path plus ".partial", which replaces
+    path only once the document is complete. If writing fails, InputError
+    included, the sibling is removed and path is left as it was."""
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as out:
+            for chunk in _model_chunks(project):
+                out.write(chunk)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
+def _write_package(w: _Writer, pkg: Package) -> Iterator[str]:
     w.open(2, "Package", [("PackageName", pkg.qualified_name)])
     if pkg.classes:
         w.open(3, "Classes", [])
         for cls in pkg.classes:
             _write_class(w, cls)
+            if len(w.lines) >= _CHUNK_LINES:
+                yield w.take()
         w.close(3, "Classes")
     else:
         w.open(3, "Classes", [], empty=True)

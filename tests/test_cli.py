@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
 import stat
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+import oodoc.documents
 from oodoc import cli
 from oodoc.cli import main
 from oodoc.xmlio import parse_model, serialize_model
@@ -119,6 +124,76 @@ def test_analyze_fixture_outputs_match_pinned_digests(tmp_path, capsys):
     assert code == 0
     digests = {path: hashlib.sha256(data).hexdigest() for path, data in tree_bytes(out).items()}
     assert digests == FIXTURE_OUTPUT_SHA256
+
+
+# sha256 of the two combined files `--merge-method-docs` writes for the
+# fixture in place of the per-class directories, taken with the release
+# that wrote documents all at once, before it wrote them one at a time.
+MERGED_OUTPUT_SHA256 = {
+    "docs/method-content.dot":
+        "e047587de9a4916d13b922a187fa8d23366ef25023bc8294ff0201766047e047",
+    "docs/method-info.dot":
+        "2c6716b47605f6112deea2d159a03dd0ab08b1cd818a760e05ffc30680ed5d70",
+}
+
+
+def test_analyze_merged_outputs_match_pinned_digests(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "analyze", str(FIXTURE_DIR), "-o", str(out), "--merge-method-docs")
+    assert code == 0
+    digests = {path: hashlib.sha256(data).hexdigest() for path, data in tree_bytes(out).items()}
+    expected = {path: digest for path, digest in FIXTURE_OUTPUT_SHA256.items()
+                if not path.startswith(("docs/method-info/", "docs/method-content/"))}
+    assert digests == {**expected, **MERGED_OUTPUT_SHA256}
+
+
+def test_document_outputs_match_pinned_digests(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, "document", str(FIXTURE_DIR), "-o", str(out), "--documents", "all")
+    assert (code, stdout) == (0, "")
+    digests = {path: hashlib.sha256(data).hexdigest() for path, data in tree_bytes(out).items()}
+    assert digests == {path: digest for path, digest in FIXTURE_OUTPUT_SHA256.items()
+                       if path.startswith("docs/")}
+
+
+@pytest.mark.parametrize("name", ["gen_method_information_document", "gen_method_content_document"])
+def test_one_per_class_graph_alive_at_a_time(tmp_path, capsys, monkeypatch, name):
+    original = getattr(oodoc.documents, name)
+    made: list[weakref.ref] = []
+
+    def generate(*args, **kwargs):
+        assert all(ref() is None for ref in made), "an earlier class's graph is still held"
+        graph = original(*args, **kwargs)
+        made.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(oodoc.documents, name, generate)
+    assert analyze_into(capsys, tmp_path / "out")[0] == 0
+    assert len(made) == 6
+
+
+def test_model_xml_cannot_carry_fails_without_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "model.xml").write_bytes(b"earlier")
+    code, stdout, stderr = run(capsys, "analyze", str(FIXTURE_DIR), "-o", str(out), "--name", "a\x01b")
+    assert (code, stdout) == (2, "")
+    assert "line 2 of the document would hold '\\x01'" in stderr
+    assert tree_bytes(out) == {"model.xml": b"earlier"}
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    # xml.sax.saxutils pulls these in, and they cost every command tens of
+    # milliseconds of start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
+    probe = ("import sys, oodoc.cli; "
+             "print(sorted({'urllib.request', 'http.client', 'email.message'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_analyze_empty_directory_fails(tmp_path, capsys):

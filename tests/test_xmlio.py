@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from oodoc import xmlio
 from oodoc.errors import ConsistencyError, InputError, SchemaError
-from oodoc.model import Project, collect_external_types
-from oodoc.xmlio import parse_model, serialize_model
+from oodoc.model import AttributeEntity, ClassEntity, Package, Project, collect_external_types
+from oodoc.xmlio import parse_model, serialize_model, write_model
 
 from conftest import CORE_ELEMENTS
 from genmodels import random_project
@@ -332,3 +333,53 @@ def test_tabs_and_line_ends_in_names_survive():
 def test_name_xml_cannot_carry_is_refused(name):
     with pytest.raises(InputError):
         serialize_model(Project(name=name, loc=1))
+
+
+# write_model writes the document a piece at a time; these check that the
+# pieces add up to serialize_model's text and that a refusal in a late
+# piece leaves no file behind.
+
+
+def _wide_project(classes: int, last_name: str) -> Project:
+    """One package of classes with a few attributes each; the last
+    attribute of the last class is named last_name."""
+    pkg = Package(qualified_name="p")
+    for i in range(classes):
+        attrs = [AttributeEntity(name=f"a{j}", declared_type="int") for j in range(8)]
+        pkg.classes.append(ClassEntity(name=f"C{i}", attributes=attrs))
+    pkg.classes[-1].attributes[-1].name = last_name
+    return Project(name="wide", loc=classes, packages=[pkg])
+
+
+def test_written_model_is_the_serialized_model(fixture_project, tmp_path):
+    path = tmp_path / "model.xml"
+    write_model(fixture_project, path)
+    assert path.read_bytes() == serialize_model(fixture_project).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.xml"]
+
+
+def test_written_model_spanning_pieces_is_the_serialized_model(tmp_path):
+    project = _wide_project(1200, "x\ty\r\nz\rw")
+    doc = serialize_model(project)
+    lines = doc.count("\n")
+    assert lines > 3 * xmlio._CHUNK_LINES
+    # the escaped name is in the last piece, after every other piece
+    assert doc.index('"x&#9;y&#13;&#10;z&#13;w"') > len(doc) - 1000
+    path = tmp_path / "model.xml"
+    write_model(project, path)
+    assert path.read_bytes() == doc.encode()
+    assert parse_model(doc) == project
+
+
+def test_refusal_in_a_late_piece_leaves_no_file(tmp_path):
+    project = _wide_project(1200, "bad\x01name")
+    with pytest.raises(InputError) as whole:
+        serialize_model(project)
+    line = int(re.search(r"line (\d+) ", str(whole.value)).group(1))
+    assert line > 3 * xmlio._CHUNK_LINES
+    path = tmp_path / "model.xml"
+    with pytest.raises(InputError) as written:
+        write_model(project, path)
+    assert str(written.value) == str(whole.value)
+    assert list(tmp_path.iterdir()) == []
+
