@@ -1,21 +1,29 @@
 """Command-line front end: scan, parse, model, serialize, document, evaluate.
 
-Exit codes: 0 success, 1 usage error, 2 input or parse error, 3 evaluation
-threshold not met.
+Exit codes: 0 success, 1 usage error, 2 input or parse error or an output
+that cannot be written, 3 evaluation threshold not met.
 
 A command runs with the cyclic garbage collector off. The model is a tree
 of plain objects without reference cycles, so reference counting frees
 all of it; the collector would only rescan the millions of objects a large
 run keeps alive.
+
+The per-class documents are created by one writer thread per per-class
+directory: creating a file costs the kernel far more than writing its few
+hundred bytes, and creates in different directories run side by side.
+Generation and serialization stay on the main thread, and no thread
+outlives the command.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,34 +179,103 @@ def _report_parse_issues(failures, warnings) -> None:
         print(f"oodoc: parse failure: {f}", file=sys.stderr)
 
 
-def _write_dot(path: Path, graph) -> Path:
-    path.write_text(serialize_dot(graph), encoding="utf-8")
-    return path
+class _OutputError(OodocError):
+    """An output file or directory could not be written."""
+
+    def __init__(self, path, cause: OSError):
+        super().__init__(f"cannot write {path}: {cause.strerror or cause}")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError raised while path is written as an _OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise _OutputError(path, exc) from exc
+
+
+def _make_dir(path: Path) -> None:
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
+
+
+def _write_file(path: Path, data: bytes) -> None:
+    """Create or truncate path and write all of data to it."""
+    with _writing(path):
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+
+
+class _Writer(threading.Thread):
+    """Writes one per-class directory's (path, bytes) list, in order."""
+
+    def __init__(self, files: list[tuple[Path, bytes]]):
+        super().__init__(name="oodoc-writer")
+        self.files = files
+        self.error: BaseException | None = None
+
+    def run(self):
+        try:
+            for path, data in self.files:
+                _write_file(path, data)
+        except BaseException as exc:  # re-raised on the main thread
+            self.error = exc
+        finally:
+            self.files = []
 
 
 def _write_documents(project: Project, config: RunConfig, docs_dir: Path) -> list[Path]:
-    """Write the configured documents under docs_dir; return the paths.
+    """Write the configured documents under docs_dir; return the paths in
+    the order asked: kinds as configured, classes in model order.
 
-    Each document is written as soon as it is made and dropped before the
-    next is made, so at most one graph is held at a time: one kind's, or
-    for a per-class kind, one class's."""
-    docs_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for kind, document in iter_documents(project, config.documents, config.include_unresolved):
-        if kind not in PER_CLASS_KINDS:
-            written.append(_write_dot(docs_dir / f"{kind}.dot", document))
-        elif config.merge_method_docs:
-            merged = merge_per_class_documents(kind, document, project.name)
-            written.append(_write_dot(docs_dir / f"{kind}.dot", merged))
-            del merged
-        else:
-            subdir = docs_dir / kind
-            subdir.mkdir(parents=True, exist_ok=True)
-            for qname, graph in document:
-                written.append(_write_dot(subdir / f"{qname}.dot", graph))
-                del graph  # before the next class's graph is made
-        del document  # before the next kind is made
-    return written
+    The project-level kinds are made first, then the per-class kinds, each
+    group in the order asked. Each document is serialized as soon as it is
+    made and dropped before the next is made; for a per-class kind that is
+    one class at a time. A project-level document is written on the spot.
+    A per-class kind's serialized files go to a writer thread of its own,
+    the only thread that creates files in that kind's directory, while the
+    main thread goes on to the next kind. Every writer is joined before
+    this returns or raises, and the first writer error is raised here."""
+    _make_dir(docs_dir)
+    # project-level kinds first (a stable sort keeps the order asked), and a
+    # kind asked twice is made once, so one writer owns each directory
+    order = sorted(dict.fromkeys(config.documents), key=PER_CLASS_KINDS.__contains__)
+    written: dict[str, list[Path]] = {}
+    writers: list[_Writer] = []
+    try:
+        for kind, document in iter_documents(project, order, config.include_unresolved):
+            if kind not in PER_CLASS_KINDS or config.merge_method_docs:
+                if kind in PER_CLASS_KINDS:
+                    document = merge_per_class_documents(kind, document, project.name)
+                path = docs_dir / f"{kind}.dot"
+                _write_file(path, serialize_dot(document).encode("utf-8"))
+                written[kind] = [path]
+            else:
+                subdir = docs_dir / kind
+                _make_dir(subdir)
+                files: list[tuple[Path, bytes]] = []
+                for qname, graph in document:
+                    files.append((subdir / f"{qname}.dot", serialize_dot(graph).encode("utf-8")))
+                    del graph  # before the next class's graph is made
+                written[kind] = [path for path, _ in files]
+                writer = _Writer(files)
+                writer.start()
+                writers.append(writer)
+                del files
+            del document  # before the next kind is made
+    finally:
+        for writer in writers:
+            writer.join()
+    for writer in writers:
+        error, writer.error = writer.error, None
+        if error is not None:
+            raise error
+    return [path for kind in config.documents for path in written[kind]]
 
 
 def _resolve_renderer(explicit: str | None) -> str | None:
@@ -233,10 +310,11 @@ def run_analyze(args) -> int:
     project, failures, warnings = load_project(config)
     _report_parse_issues(failures, warnings)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_model(project, out / "model.xml")
+    _make_dir(out)
+    with _writing(out / "model.xml"):
+        write_model(project, out / "model.xml")
     metrics_text = format_metrics(project_metrics(project))
-    (out / "metrics.txt").write_text(metrics_text, encoding="utf-8")
+    _write_file(out / "metrics.txt", metrics_text.encode("utf-8"))
     sys.stdout.write(metrics_text)
     written = _write_documents(project, config, out / "docs")
     if config.render:
@@ -262,7 +340,7 @@ def run_metrics(args) -> int:
     record = project_metrics(project)
     sys.stdout.write(format_metrics(record))
     if args.json_path:
-        Path(args.json_path).write_text(metrics_json(record), encoding="utf-8")
+        _write_file(Path(args.json_path), metrics_json(record).encode("utf-8"))
     if failures and config.strict:
         return 2
     return 0

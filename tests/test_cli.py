@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import os
 import stat
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -180,6 +183,122 @@ def test_model_xml_cannot_carry_fails_without_output(tmp_path, capsys):
     assert (code, stdout) == (2, "")
     assert "line 2 of the document would hold '\\x01'" in stderr
     assert tree_bytes(out) == {"model.xml": b"earlier"}
+
+
+# the fixture's classes in model order
+FIXTURE_CLASSES = (
+    "Drawing.Shapes.coreElements.MyLine",
+    "Drawing.Shapes.coreElements.MyOval",
+    "Drawing.Shapes.coreElements.MyRectangle",
+    "Drawing.Shapes.coreFrame.DrawingShapes",
+    "Drawing.Shapes.coreFrame.MyShape",
+    "Drawing.Shapes.coreFrame.PaintJPanel",
+)
+
+
+def test_project_level_documents_are_made_before_per_class_ones(tmp_path, capsys, monkeypatch):
+    made: list[str] = []
+    for name in dir(oodoc.documents):
+        if name.startswith("gen_") and name.endswith("_document"):
+            original = getattr(oodoc.documents, name)
+
+            def generate(*args, _original=original, **kwargs):
+                graph = _original(*args, **kwargs)
+                made.append(graph.kind)
+                return graph
+
+            monkeypatch.setattr(oodoc.documents, name, generate)
+    code, _, _ = analyze_into(capsys, tmp_path / "out", "--documents",
+                              "method-content,package,method-info,method-dependency")
+    assert code == 0
+    assert made == ["package", "method-dependency", *["method-content"] * 6, *["method-info"] * 6]
+
+
+def _slow_writers(monkeypatch) -> dict[Path, threading.Thread]:
+    """Make every file written off the main thread take a while, so a
+    writer still running when the command returns is seen; record the
+    thread that writes each path."""
+    writers: dict[Path, threading.Thread] = {}
+    original = cli._write_file
+
+    def write_file(path, data):
+        writers[Path(path)] = threading.current_thread()
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.01)
+        original(path, data)
+
+    monkeypatch.setattr(cli, "_write_file", write_file)
+    return writers
+
+
+def test_each_per_class_directory_is_written_by_one_thread(tmp_path, capsys, monkeypatch):
+    writers = _slow_writers(monkeypatch)
+    threads = set(threading.enumerate())
+    out = tmp_path / "out"
+    assert analyze_into(capsys, out)[0] == 0
+    assert set(threading.enumerate()) == threads
+    docs = out / "docs"
+    assert {p for p in writers if docs in p.parents} == set(docs.rglob("*.dot"))
+    by_directory: dict[Path, set[threading.Thread]] = {}
+    for path, thread in writers.items():
+        by_directory.setdefault(path.parent, set()).add(thread)
+    main_thread = threading.main_thread()
+    assert by_directory.pop(docs) == {main_thread}
+    assert by_directory.pop(out) == {main_thread}  # metrics.txt
+    assert sorted(d.name for d in by_directory) == ["method-content", "method-info"]
+    for owners in by_directory.values():
+        assert len(owners) == 1 and main_thread not in owners
+    assert len({t for owners in by_directory.values() for t in owners}) == 2
+
+
+def test_merged_method_documents_start_no_writer(tmp_path, capsys, monkeypatch):
+    writers = _slow_writers(monkeypatch)
+    assert analyze_into(capsys, tmp_path / "out", "--merge-method-docs")[0] == 0
+    assert len(writers) == 8 and set(writers.values()) == {threading.main_thread()}
+
+
+def test_write_file_finishes_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:3])))
+    target = tmp_path / "f.dot"
+    target.write_bytes(b"an earlier and longer text")
+    cli._write_file(target, b"digraph g {}\n")
+    monkeypatch.undo()
+    assert target.read_bytes() == b"digraph g {}\n"
+
+
+def _unwritable_output(tmp_path) -> dict[str, tuple[list[str], Path, int]]:
+    """argv, the path that cannot be written and its errno, per case."""
+    cases = {}
+    existing = tmp_path / "a-file"
+    existing.write_text("", encoding="utf-8")
+    cases["output directory is a file"] = (
+        ["analyze", str(FIXTURE_DIR), "-o", str(existing)], existing, errno.EEXIST)
+    json_path = tmp_path / "missing" / "m.json"
+    cases["json directory missing"] = (
+        ["metrics", str(FIXTURE_DIR), "--json", str(json_path)], json_path, errno.ENOENT)
+    for name, target in (("project-level", "package.dot"),
+                         ("per-class", f"method-info/{FIXTURE_CLASSES[2]}.dot")):
+        out = tmp_path / name
+        (out / "docs" / target).mkdir(parents=True)
+        cases[f"{name} .dot is a directory"] = (
+            ["analyze", str(FIXTURE_DIR), "-o", str(out)], out / "docs" / target, errno.EISDIR)
+    return cases
+
+
+@pytest.mark.parametrize("case", [
+    "output directory is a file",
+    "json directory missing",
+    "project-level .dot is a directory",
+    "per-class .dot is a directory",
+])
+def test_an_unwritable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+    argv, path, code = _unwritable_output(tmp_path)[case]
+    _slow_writers(monkeypatch)
+    threads = set(threading.enumerate())
+    assert run(capsys, *argv)[0::2] == (2, f"oodoc: error: cannot write {path}: "
+                                           f"{os.strerror(code)}\n")
+    assert set(threading.enumerate()) == threads
 
 
 def test_importing_the_cli_loads_no_network_modules():
@@ -412,6 +531,39 @@ def test_analyze_render_failure_is_warning_unless_strict(tmp_path, capsys):
     assert code == 2
 
 
+# the order `--render` ran the renderer in for the fixture, taken at the
+# release that wrote every document on the main thread: kinds as asked,
+# classes in model order
+RENDER_ORDER = {
+    "all": [
+        "package.dot", "class-info.dot", "class-dependency.dot", "class-content.dot",
+        *(f"method-info/{c}.dot" for c in FIXTURE_CLASSES),
+        *(f"method-content/{c}.dot" for c in FIXTURE_CLASSES),
+        "method-dependency.dot",
+    ],
+    "method-content,package,method-info": [
+        *(f"method-content/{c}.dot" for c in FIXTURE_CLASSES),
+        "package.dot",
+        *(f"method-info/{c}.dot" for c in FIXTURE_CLASSES),
+    ],
+}
+
+
+@pytest.mark.parametrize("documents", sorted(RENDER_ORDER))
+def test_render_runs_in_the_order_asked(tmp_path, capsys, documents):
+    log = tmp_path / "rendered"
+    renderer = tmp_path / "logging-dot"
+    renderer.write_text(f'#!/bin/sh\necho "$2" >> "{log}"\n', encoding="utf-8")
+    renderer.chmod(renderer.stat().st_mode | stat.S_IEXEC)
+    out = tmp_path / "out"
+    code, _, _ = analyze_into(capsys, out, "--documents", documents,
+                              "--render", "--renderer", str(renderer))
+    assert code == 0
+    rendered = [Path(line).relative_to(out / "docs").as_posix()
+                for line in log.read_text(encoding="utf-8").splitlines()]
+    assert rendered == RENDER_ORDER[documents]
+
+
 def test_outputs_never_land_in_input_root(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()
@@ -431,11 +583,14 @@ def test_outputs_never_land_in_input_root(tmp_path, capsys):
 
 def _unreachable_after(capsys, *argv) -> tuple[int, int]:
     """The exit code of main(argv), run with the collector off, and the
-    number of unreachable objects the collector finds after it."""
+    number of unreachable objects the collector finds after it. No thread
+    may outlive the command."""
+    threads = set(threading.enumerate())
     gc.collect()
     gc.disable()
     try:
         code = main(list(argv))
+        assert set(threading.enumerate()) == threads, "a thread outlived the command"
         return code, gc.collect()
     finally:
         gc.enable()
