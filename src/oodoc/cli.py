@@ -69,7 +69,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _parse_document_list(value: str) -> tuple[str, ...]:
     if value == "all":
         return DOCUMENT_KINDS
-    kinds = tuple(k.strip() for k in value.split(",") if k.strip())
+    # a kind named twice is taken once, where it is first named
+    kinds = tuple(dict.fromkeys(k.strip() for k in value.split(",") if k.strip()))
     for kind in kinds:
         if kind not in DOCUMENT_KINDS:
             raise argparse.ArgumentTypeError(
@@ -242,9 +243,8 @@ def _write_documents(project: Project, config: RunConfig, docs_dir: Path) -> lis
     main thread goes on to the next kind. Every writer is joined before
     this returns or raises, and the first writer error is raised here."""
     _make_dir(docs_dir)
-    # project-level kinds first (a stable sort keeps the order asked), and a
-    # kind asked twice is made once, so one writer owns each directory
-    order = sorted(dict.fromkeys(config.documents), key=PER_CLASS_KINDS.__contains__)
+    # project-level kinds first; a stable sort keeps the order asked
+    order = sorted(config.documents, key=PER_CLASS_KINDS.__contains__)
     written: dict[str, list[Path]] = {}
     writers: list[_Writer] = []
     try:

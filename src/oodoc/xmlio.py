@@ -298,19 +298,11 @@ _ALLOWED_ATTRS = {
 }
 
 # The reader builds the model from expat's start and end events, with one
-# frame per open element, and never holds an element tree. It keeps every
-# check of the tree walk it replaced, and also which error that walk reported
-# first when a document breaks several rules: the walk checked all children
-# of Project, of a Package and of a Class before it entered any of them, and
-# a class's Attributes before its Methods, while inside a Method it went in
-# document order. Each error gets a rank in that order (a tuple of phase and
-# child index per level); the reader keeps the lowest-ranked one and raises
-# it only after expat has read the whole document, so a document that is not
-# well-formed always says so.
+# frame per open element, and never holds an element tree. A handler raises
+# at the first error it finds, and expat stops there and passes the error on,
+# so the error reported is the first problem in document order.
 
 _BOOLS = {"true": True, "false": False}
-# frames whose children rank by index; inside a Method, document order ranks
-_INDEXED = {"Project", "Packages", "Package", "Classes", "Class", "Attributes", "Methods"}
 _METHOD_PARTS = {
     "Parameters", "LocalVariables", "AttributeAccesses", "MethodInvocations", "MethodExceptions",
 }
@@ -318,18 +310,16 @@ _METHOD_PARTS = {
 
 class _Frame:
     """An open element: its tag and location, the entity its children go
-    into, how many children it has had, the child tags already seen, and the
-    rank prefix of errors found among its children."""
+    into, how many children it has had, and the child tags already seen."""
 
-    __slots__ = ("tag", "location", "entity", "count", "seen", "rank", "declared")
+    __slots__ = ("tag", "location", "entity", "count", "seen", "declared")
 
-    def __init__(self, tag, location: str, entity, rank: tuple, seen: set | None = None):
+    def __init__(self, tag, location: str, entity, seen: set | None = None):
         self.tag = tag
         self.location = location
         self.entity = entity
         self.count = 0
         self.seen = seen
-        self.rank = rank
         self.declared = 0  # NumberOfParameters, on a Parameters frame
 
 
@@ -370,10 +360,11 @@ def _super_interfaces_rule(attrs: dict, location: str):
         raise SchemaError(location, "SuperInterfaces carries Internal without Name")
 
 
-# The attribute rules of each element, in the order the tree walk checked
-# them: a required attribute with its kind of value (str for any text, bool,
-# int for a non-negative count, or the tuple of allowed values), or a rule
-# across attributes.
+# The attribute rules of each element, in the order the reference reader
+# (oodoc 0.1.0's) checks them, so that a start tag that breaks several
+# reports the same one: a required attribute with its kind of value (str for
+# any text, bool, int for a non-negative count, or the tuple of allowed
+# values), or a rule across attributes.
 _RULES = {
     "Project": (("ProjectName", str), ("LinesOfCode", int)),
     "Package": (("PackageName", str),),
@@ -425,7 +416,8 @@ def _count(value: str, name: str, location: str) -> int:
 
 
 def _validate(tag: str, attrs: dict, location: str, expected: str | None = None):
-    """Raise the error the tree walk raised for this start tag, if any.
+    """Raise the first error of this start tag, if any, taking its rules in
+    the reference reader's order.
 
     The handlers of frequent elements first test them in one expression and
     call this only when that fails.
@@ -447,7 +439,7 @@ def _start_root(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     loc = "Project"
     _validate(tag, attrs, loc, "Project")
     parent.entity = Project(name=attrs["ProjectName"], loc=_count(attrs["LinesOfCode"], "LinesOfCode", loc))
-    r.stack.append(_Frame(tag, loc, parent.entity, (1,), set()))
+    r.stack.append(_Frame(tag, loc, parent.entity, set()))
 
 
 def _start_in_project(r: _Reader, parent: _Frame, tag: str, attrs: dict):
@@ -456,7 +448,7 @@ def _start_in_project(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     if parent.seen:
         raise SchemaError(parent.location, "element Packages may appear at most once")
     parent.seen.add(tag)
-    r.stack.append(_Frame(tag, loc, parent.entity, (3,)))
+    r.stack.append(_Frame(tag, loc, parent.entity))
 
 
 def _start_in_packages(r: _Reader, parent: _Frame, tag: str, attrs: dict):
@@ -464,7 +456,7 @@ def _start_in_packages(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     _validate(tag, attrs, loc, "Package")
     pkg = Package(qualified_name=attrs["PackageName"])
     parent.entity.packages.append(pkg)
-    r.stack.append(_Frame(tag, loc, pkg, parent.rank + (parent.count, 1), set()))
+    r.stack.append(_Frame(tag, loc, pkg, set()))
 
 
 def _start_in_package(r: _Reader, parent: _Frame, tag: str, attrs: dict):
@@ -473,7 +465,7 @@ def _start_in_package(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     if parent.seen:
         raise SchemaError(parent.location, "element Classes may appear at most once")
     parent.seen.add(tag)
-    r.stack.append(_Frame(tag, loc, parent.entity, parent.rank[:-1] + (2,)))
+    r.stack.append(_Frame(tag, loc, parent.entity))
 
 
 def _start_in_classes(r: _Reader, parent: _Frame, tag: str, attrs: dict):
@@ -487,7 +479,7 @@ def _start_in_classes(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     if "Superclass" in attrs:
         cls.superclass = TypeRef(attrs["Superclass"], _BOOLS[attrs["SuperclassInternal"]])
     parent.entity.classes.append(cls)
-    r.stack.append(_Frame(tag, loc, cls, parent.rank + (parent.count, 1), set()))
+    r.stack.append(_Frame(tag, loc, cls, set()))
 
 
 def _start_in_class(r: _Reader, parent: _Frame, tag: str, attrs: dict):
@@ -497,15 +489,14 @@ def _start_in_class(r: _Reader, parent: _Frame, tag: str, attrs: dict):
         _validate(tag, attrs, loc)
         if attrs:
             cls.super_interfaces.append(TypeRef(attrs["Name"], _BOOLS[attrs["Internal"]]))
-        r.stack.append(_Frame(tag, loc, None, parent.rank + (parent.count,)))
+        r.stack.append(_Frame(tag, loc, None))
         return
     _check(tag, attrs, loc)
     if tag == "Attributes" or tag == "Methods":
         if tag in parent.seen:
             raise SchemaError(parent.location, f"element {tag} may appear at most once")
         parent.seen.add(tag)
-        phase = 2 if tag == "Attributes" else 3
-        r.stack.append(_Frame(tag, loc, cls, parent.rank[:-1] + (phase,)))
+        r.stack.append(_Frame(tag, loc, cls))
     else:
         raise SchemaError(loc, f"element {tag} is not allowed inside Class")
 
@@ -548,7 +539,7 @@ def _start_in_methods(r: _Reader, parent: _Frame, tag: str, attrs: dict):
         _validate(tag, attrs, loc, "Method")
     method = MethodEntity(attrs["MethodName"], return_type, access, is_static, is_constructor)
     parent.entity.methods.append(method)
-    r.stack.append(_Frame(tag, loc, method, parent.rank + (parent.count,), set()))
+    r.stack.append(_Frame(tag, loc, method, set()))
 
 
 def _start_in_method(r: _Reader, parent: _Frame, tag: str, attrs: dict):
@@ -556,7 +547,7 @@ def _start_in_method(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     if tag in parent.seen:
         raise SchemaError(parent.location, f"element {tag} may appear at most once here")
     parent.seen.add(tag)
-    frame = _Frame(tag, loc, parent.entity, parent.rank)
+    frame = _Frame(tag, loc, parent.entity)
     if tag == "Parameters":
         declared = attrs.get("NumberOfParameters", "")
         if len(attrs) != 1 or not declared.isdecimal():
@@ -678,16 +669,9 @@ class _Reader:
     """expat's start and end handlers over a stack of frames."""
 
     def __init__(self):
-        self.document = _Frame(None, "document", None, ())
+        self.document = _Frame(None, "document", None)
         self.stack = [self.document]
         self.skip = 0  # open elements whose content is ignored
-        self.error: SchemaError | ConsistencyError | None = None
-        self.error_rank: tuple = ()
-
-    def fail(self, rank: tuple, error: SchemaError | ConsistencyError):
-        if self.error is None or rank < self.error_rank:
-            self.error = error.with_traceback(None)
-            self.error_rank = rank
 
     def start(self, tag: str, attrs: dict):
         if self.skip:
@@ -697,12 +681,7 @@ class _Reader:
             tag = "{" + tag  # ElementTree's name for a namespaced element
         parent = self.stack[-1]
         parent.count += 1
-        try:
-            _STARTS[parent.tag](self, parent, tag, attrs)
-        except SchemaError as exc:
-            rank = parent.rank + (parent.count,) if parent.tag in _INDEXED else parent.rank
-            self.fail(rank, exc)
-            self.skip = 1
+        _STARTS[parent.tag](self, parent, tag, attrs)
 
     def end(self, tag: str):
         if self.skip:
@@ -711,12 +690,7 @@ class _Reader:
         frame = self.stack.pop()
         check = _ENDS.get(frame.tag)
         if check is not None:
-            try:
-                check(frame)
-            except (SchemaError, ConsistencyError) as exc:
-                # the walk counted a Project's Packages after checking its
-                # children and before entering them
-                self.fail((2,) if frame.tag == "Project" else frame.rank, exc)
+            check(frame)
 
 
 def parse_model(text: str) -> Project:
@@ -730,12 +704,6 @@ def parse_model(text: str) -> Project:
         parser.Parse("", True)
     except expat.ExpatError as exc:
         raise SchemaError("document", f"not well-formed XML: {exc}") from exc
-    if reader.error is not None:
-        error, reader.error = reader.error, None
-        try:
-            raise error
-        finally:
-            del error  # its traceback holds this frame: no cycle through it
     project = reader.document.entity
     project.external_types = collect_external_types(project)
     return project

@@ -549,12 +549,18 @@ RENDER_ORDER = {
 }
 
 
-@pytest.mark.parametrize("documents", sorted(RENDER_ORDER))
-def test_render_runs_in_the_order_asked(tmp_path, capsys, documents):
+def _logging_renderer(tmp_path) -> tuple[Path, Path]:
+    """A renderer that appends each DOT path it is given to a log; both paths."""
     log = tmp_path / "rendered"
     renderer = tmp_path / "logging-dot"
     renderer.write_text(f'#!/bin/sh\necho "$2" >> "{log}"\n', encoding="utf-8")
     renderer.chmod(renderer.stat().st_mode | stat.S_IEXEC)
+    return renderer, log
+
+
+@pytest.mark.parametrize("documents", sorted(RENDER_ORDER))
+def test_render_runs_in_the_order_asked(tmp_path, capsys, documents):
+    renderer, log = _logging_renderer(tmp_path)
     out = tmp_path / "out"
     code, _, _ = analyze_into(capsys, out, "--documents", documents,
                               "--render", "--renderer", str(renderer))
@@ -562,6 +568,23 @@ def test_render_runs_in_the_order_asked(tmp_path, capsys, documents):
     rendered = [Path(line).relative_to(out / "docs").as_posix()
                 for line in log.read_text(encoding="utf-8").splitlines()]
     assert rendered == RENDER_ORDER[documents]
+
+
+def test_a_kind_named_twice_is_made_and_rendered_once(tmp_path, capsys):
+    renderer, log = _logging_renderer(tmp_path)
+    out = tmp_path / "twice"
+    code, _, _ = analyze_into(capsys, out, "--documents", "package,package",
+                              "--render", "--renderer", str(renderer))
+    assert code == 0
+    assert log.read_text(encoding="utf-8").splitlines() == [str(out / "docs" / "package.dot")]
+    trees = []
+    for documents in ("package,class-info,package", "package,class-info"):
+        code, _, _ = analyze_into(capsys, tmp_path / documents, "--documents", documents)
+        assert code == 0
+        trees.append(tree_bytes(tmp_path / documents))
+    assert trees[0] == trees[1]
+    assert sorted(p for p in trees[0] if p.startswith("docs/")) == [
+        "docs/class-info.dot", "docs/package.dot"]
 
 
 def test_outputs_never_land_in_input_root(tmp_path, capsys):
@@ -634,7 +657,16 @@ def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, capsys):
             code, unreachable = _unreachable_after(capsys, *argv)
             assert code == 0, kind
             found.setdefault(kind, []).append(unreachable)
-    for kind in ("corpus", "troubled", "evaluate"):
+        # a model whose one fault is near its end: the SchemaError leaves
+        # parse_model through expat, its traceback holding the reader's frames
+        rejected = tmp_path / f"rejected{size}.xml"
+        model = (out / "model.xml").read_text(encoding="utf-8")
+        rejected.write_text(model.replace("</Packages>", "<Stuff/></Packages>"), encoding="utf-8")
+        code, unreachable = _unreachable_after(
+            capsys, "evaluate", "--retrieved", str(rejected), "--reference", str(out / "model.xml"))
+        assert code == 2
+        found.setdefault("rejected", []).append(unreachable)
+    for kind in ("corpus", "troubled", "evaluate", "rejected"):
         small, large = found[kind]
         assert large <= small, found
 

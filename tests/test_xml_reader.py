@@ -1,9 +1,14 @@
 """The streaming XML reader against the ElementTree reader of oodoc 0.1.0,
 on seeded single and double mutants of two model documents.
 
-Both readers must return equal projects, or raise the same exception class
-with the same location and message. The one divergence allowed is a fault
-of 0.1.0 kept in oracles.reference_parse_model: a count made of digits that
+Both readers must accept the same documents and return equal projects for
+them. Where both reject a document, the streaming reader raises SchemaError
+or ConsistencyError, but not always the reference's error: it reports the
+first problem in document order, where 0.1.0 checked the children of
+Project, of a Package and of a Class before it entered any of them, and
+reported "not well-formed" before any other problem. Most rejected mutants
+still give the same error. The one other divergence allowed is a fault of
+0.1.0 kept in oracles.reference_parse_model: a count made of digits that
 int() does not read, such as "²", raised ValueError; it is now a SchemaError.
 """
 
@@ -126,20 +131,28 @@ def test_readers_agree_on_mutants(documents):
     rng = random.Random(SEED)
     fixture, generated = (ET.fromstring(doc) for doc in documents)
     seen: dict[str, int] = {}
+    identical = 0
     for _ in range(MUTANTS):
         # the fixture's document is three times the size of the generated one
         text = mutant(fixture if rng.random() < 0.3 else generated, rng)
         new, old = outcome(parse_model, text), reference_outcome(text)
+        identical += new == old
         if isinstance(old, tuple) and old[0] == "ValueError":
             # 0.1.0 read a count with str.isdigit and then int()
             assert new[0] == "SchemaError" and "must be a non-negative integer" in new[2], new
             kind = "ValueError"
+        elif isinstance(old, tuple):
+            # both reject it; which error each reports may differ
+            assert isinstance(new, tuple), text
+            assert new[0] in ("SchemaError", "ConsistencyError"), new
+            kind = "not well-formed" if old[2].startswith("not well-formed") else old[0]
         else:
             assert new == old, text
-            kind = old[0] if isinstance(old, tuple) else "ok"
-            if isinstance(old, tuple) and old[2].startswith("not well-formed"):
-                kind = "not well-formed"
+            kind = "ok"
         seen[kind] = seen.get(kind, 0) + 1
+    # most rejected mutants have one problem, or the first is also the one
+    # 0.1.0 reported
+    assert identical >= 600, identical
     # the mutants reach every outcome, so none of the comparisons is idle
     assert seen.get("ok", 0) >= MUTANTS // 5, seen
     assert seen.get("SchemaError", 0) >= MUTANTS // 3, seen
@@ -153,47 +166,65 @@ def _document(packages: str) -> str:
 
 _BAD_ATTRIBUTE = '<Attribute Name="a" DeclaredType="int" AccessLevel="open" IsStatic="false"/>'
 _BAD_METHOD = '<Method MethodName="m" MethodAccessLevel="public" IsStatic="false" IsConstructor="maybe"/>'
+_TWO_PARAMETERS_MISSING = (
+    '<Methods><Method MethodName="m" MethodAccessLevel="public" ReturnType="void" '
+    'IsStatic="false" IsConstructor="false"><Parameters NumberOfParameters="2"/></Method></Methods>'
+)
+_CLASS_A = '<Class ClassName="A" classAccessLevel="public" IsInterface="false">'
 
 
 def _class(children: str) -> str:
     return _document(
-        '<Packages><Package PackageName="p"><Classes>'
-        f'<Class ClassName="A" classAccessLevel="public" IsInterface="false">{children}</Class>'
+        f'<Packages><Package PackageName="p"><Classes>{_CLASS_A}{children}</Class>'
         "</Classes></Package></Packages>"
     )
 
 
 @pytest.mark.parametrize(
-    "text, location, message",
+    "text, error, location, message",
     [
-        # a later child of Project is checked before Packages is missed
-        (_document("<Stuff/>"), "Project/Stuff", "expected element Packages, found Stuff"),
-        # a later child of Project is checked before the first one is entered
-        (_document('<Packages><Package/></Packages><Stuff/>'), "Project/Stuff",
+        # a child of Project other than Packages
+        (_document("<Stuff/>"), "SchemaError", "Project/Stuff",
          "expected element Packages, found Stuff"),
-        # a later child of a Package is checked before its classes are
+        # a Package's attributes, before a later child of Project
+        (_document('<Packages><Package/></Packages><Stuff/>'), "SchemaError",
+         "Project/Packages/Package[1]", "missing attribute PackageName on Package"),
+        # a Class's attributes, before a later child of its Package
         (_document('<Packages><Package PackageName="p"><Classes><Class/></Classes><Classes/>'
                    "</Package></Packages>"),
-         "Project/Packages/Package[1]", "element Classes may appear at most once"),
-        # a later child of a Class is checked before its attributes are
-        (_class(f"<Attributes>{_BAD_ATTRIBUTE}</Attributes><Stuff/>"),
-         "Project/Packages/Package[1]/Classes/Class[1]/Stuff", "unknown element Stuff"),
-        # a class's attributes are checked before its methods, in any order
-        (_class(f"<Methods>{_BAD_METHOD}</Methods><Attributes>{_BAD_ATTRIBUTE}</Attributes>"),
+         "SchemaError", "Project/Packages/Package[1]/Classes/Class[1]",
+         "missing attribute classAccessLevel on Class"),
+        # an attribute, before a later child of its Class
+        (_class(f"<Attributes>{_BAD_ATTRIBUTE}</Attributes><Stuff/>"), "SchemaError",
          "Project/Packages/Package[1]/Classes/Class[1]/Attributes/Attribute[1]",
          "invalid AccessLevel 'open'"),
-        # inside a method, document order decides
-        (_class(f"<Methods>{_BAD_METHOD}</Methods><Methods/>"),
-         "Project/Packages/Package[1]/Classes/Class[1]",
-         "element Methods may appear at most once"),
-        # a document that is not well-formed says so, whatever else is wrong
-        (_document("<Stuff/>")[:-3], "document",
-         "not well-formed XML: unclosed token: line 1, column 49"),
+        # methods that come before the attributes are checked first
+        (_class(f"<Methods>{_BAD_METHOD}</Methods><Attributes>{_BAD_ATTRIBUTE}</Attributes>"),
+         "SchemaError", "Project/Packages/Package[1]/Classes/Class[1]/Methods/Method[1]",
+         "attribute IsConstructor must be 'true' or 'false', found 'maybe'"),
+        # a method, before a second Methods in its Class
+        (_class(f"<Methods>{_BAD_METHOD}</Methods><Methods/>"), "SchemaError",
+         "Project/Packages/Package[1]/Classes/Class[1]/Methods/Method[1]",
+         "attribute IsConstructor must be 'true' or 'false', found 'maybe'"),
+        # a schema error before the document breaks off
+        (_document("<Stuff/>")[:-3], "SchemaError", "Project/Stuff",
+         "expected element Packages, found Stuff"),
+        # a parameter count, before a later child of the Package
+        (_document(f'<Packages><Package PackageName="p"><Classes>{_CLASS_A}'
+                   f"{_TWO_PARAMETERS_MISSING}</Class></Classes><Stuff/></Package></Packages>"),
+         "ConsistencyError", "Project/Packages/Package[1]/Classes/Class[1]/Methods/Method[1]/Parameters",
+         "NumberOfParameters is 2 but 0 Parameter children are present"),
+        # a schema error, and a truncated tail after it
+        (_class(f"<Attributes>{_BAD_ATTRIBUTE}</Attributes>")[:-30], "SchemaError",
+         "Project/Packages/Package[1]/Classes/Class[1]/Attributes/Attribute[1]",
+         "invalid AccessLevel 'open'"),
+        # a document that breaks off inside the start tag of a broken method
+        (_class(f"<Methods>{_BAD_METHOD}</Methods>").partition("/>")[0], "SchemaError", "document",
+         "not well-formed XML: unclosed token: line 1, column 161"),
     ],
 )
-def test_first_error_in_the_order_of_the_tree_walk(text, location, message):
-    assert outcome(parse_model, text) == outcome(reference_parse_model, text)
-    assert outcome(parse_model, text)[1:] == (location, message)
+def test_first_error_in_document_order(text, error, location, message):
+    assert outcome(parse_model, text) == (error, location, message)
 
 
 def test_a_count_int_cannot_read_is_a_schema_error():
