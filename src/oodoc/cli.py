@@ -13,6 +13,16 @@ directory: creating a file costs the kernel far more than writing its few
 hundred bytes, and creates in different directories run side by side.
 Generation and serialization stay on the main thread, and no thread
 outlives the command.
+
+`evaluate` reads its two models side by side: one worker process reads,
+parses and reduces the reference to its link set while the main process
+does the same for the retrieved model, and only the reference's link set
+(or the error that stopped its worker) comes back. The worker switches the
+collector off itself. It is forked, which is safe because the command has
+started no thread by then: it starts without a new interpreter, and no
+start-method helper process is left behind. If the retrieved model fails,
+that error is reported and the worker is killed, not waited for; no
+process outlives the command.
 """
 
 from __future__ import annotations
@@ -183,9 +193,6 @@ def _report_parse_issues(failures, warnings) -> None:
 class _OutputError(OodocError):
     """An output file or directory could not be written."""
 
-    def __init__(self, path, cause: OSError):
-        super().__init__(f"cannot write {path}: {cause.strerror or cause}")
-
 
 @contextlib.contextmanager
 def _writing(path):
@@ -193,7 +200,7 @@ def _writing(path):
     try:
         yield
     except OSError as exc:
-        raise _OutputError(path, exc) from exc
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _make_dir(path: Path) -> None:
@@ -356,10 +363,42 @@ def run_document(args) -> int:
     return 0
 
 
+def _send_links(path: str, conn) -> None:
+    """The evaluate worker: read, parse and reduce the model at path, and
+    send its link set, or the exception that stopped it, over conn."""
+    gc.disable()  # a worker that is not forked does not inherit the state
+    try:
+        result = extract_links(parse_model(_read_text(path)))
+    except Exception as exc:  # raised again in the main process
+        result = exc
+    conn.send(result)
+
+
 def run_evaluate(args) -> int:
-    # one model at a time: each text and model is freed once it is a link set
-    retrieved = extract_links(parse_model(_read_text(args.retrieved)))
-    reference = extract_links(parse_model(_read_text(args.reference)))
+    import multiprocessing  # here only: no other command starts a process
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_send_links, args=(args.reference, sender),
+                             name="oodoc-reference", daemon=True)
+    worker.start()
+    sender.close()  # so that recv sees the end of the pipe if the worker dies
+    try:
+        retrieved = extract_links(parse_model(_read_text(args.retrieved)))
+        try:
+            reference = receiver.recv()
+        except EOFError:
+            worker.join()
+            raise OodocError(f"the process reading {args.reference} stopped "
+                             f"without a result (exit code {worker.exitcode})") from None
+        if isinstance(reference, Exception):
+            raise reference
+    except BaseException:
+        worker.kill()  # on any error the worker is stopped, not waited for
+        raise
+    finally:
+        receiver.close()
+        worker.join()
     report = precision_recall(retrieved, reference)
     sys.stdout.write(format_report(report))
     if args.fail_under is not None:

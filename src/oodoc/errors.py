@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all oodoc modules."""
+"""Exception hierarchy shared by all oodoc modules.
+
+Every error pickles, so that one raised in a worker process can be raised
+again in the process that started it: a class whose __init__ takes other
+arguments than its message gives them back from __reduce__.
+"""
 
 from __future__ import annotations
 
@@ -24,6 +29,9 @@ class ParseFailure(OodocError):
         self.line = line
         self.message = message
 
+    def __reduce__(self):
+        return type(self), (self.path, self.line, self.message)
+
 
 class ModelError(OodocError):
     """The parsed declarations cannot form a consistent project model."""
@@ -37,6 +45,9 @@ class SchemaError(OodocError):
         self.location = location
         self.message = message
 
+    def __reduce__(self):
+        return type(self), (self.location, self.message)
+
 
 class ConsistencyError(OodocError):
     """An XML count attribute disagrees with the children it describes."""
@@ -45,6 +56,9 @@ class ConsistencyError(OodocError):
         super().__init__(f"{location}: {message}")
         self.location = location
         self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.location, self.message)
 
 
 class DotParseError(OodocError):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import errno
 import gc
 import hashlib
+import multiprocessing
 import os
+import pickle
+import signal
 import stat
 import subprocess
 import sys
@@ -17,6 +21,7 @@ import pytest
 import oodoc.documents
 from oodoc import cli
 from oodoc.cli import main
+from oodoc.evaluation import extract_links
 from oodoc.xmlio import parse_model, serialize_model
 
 from conftest import FIXTURE_DIR, PROJECT_NAME, load_fixture_project
@@ -301,16 +306,21 @@ def test_an_unwritable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatc
     assert set(threading.enumerate()) == threads
 
 
-def test_importing_the_cli_loads_no_network_modules():
-    # xml.sax.saxutils pulls these in, and they cost every command tens of
-    # milliseconds of start-up
+def _python_with_src(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run this interpreter on argv with the oodoc sources on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          timeout=60, **kwargs)
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    # xml.sax.saxutils pulls these in, and they cost every command tens of
+    # milliseconds of start-up
     probe = ("import sys, oodoc.cli; "
              "print(sorted({'urllib.request', 'http.client', 'email.message'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, timeout=60)
+    result = _python_with_src("-c", probe, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 
@@ -396,9 +406,14 @@ def test_document_subcommand_writes_requested(tmp_path, capsys):
     assert (out / "docs" / "package.dot").is_file()
 
 
-def test_evaluate_gold_against_itself(tmp_path, capsys):
+def _write_gold(tmp_path) -> Path:
     gold = tmp_path / "gold.xml"
     gold.write_text(serialize_model(load_fixture_project()), encoding="utf-8")
+    return gold
+
+
+def test_evaluate_gold_against_itself(tmp_path, capsys):
+    gold = _write_gold(tmp_path)
     code, stdout, _ = run(
         capsys, "evaluate", "--retrieved", str(gold), "--reference", str(gold)
     )
@@ -472,6 +487,127 @@ def test_evaluate_malformed_xml_fails(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in stderr
+
+
+def test_evaluate_reports_a_bad_reference(tmp_path, capsys):
+    gold = _write_gold(tmp_path)
+    reference = tmp_path / "reference.xml"
+    reference.write_text('<Project ProjectName="x" LinesOfCode="0"><Stuff/></Project>',
+                         encoding="utf-8")
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--retrieved", str(gold), "--reference", str(reference))
+    assert (code, stdout) == (2, "")
+    assert stderr == "oodoc: error: Project/Stuff: expected element Packages, found Stuff\n"
+
+
+def test_evaluate_reports_the_retrieved_error_when_both_are_bad(tmp_path, capsys):
+    retrieved = tmp_path / "retrieved.xml"
+    retrieved.write_text('<Project ProjectName="x" LinesOfCode="0"><Junk/></Project>',
+                         encoding="utf-8")
+    reference = tmp_path / "reference.xml"
+    reference.write_text('<Project ProjectName="x" LinesOfCode="0"><Stuff/></Project>',
+                         encoding="utf-8")
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--retrieved", str(retrieved), "--reference", str(reference))
+    assert (code, stdout) == (2, "")
+    assert stderr == "oodoc: error: Project/Junk: expected element Packages, found Junk\n"
+
+
+def test_evaluate_reports_an_unreadable_reference(tmp_path, capsys):
+    gold = _write_gold(tmp_path)
+    missing = tmp_path / "missing.xml"
+    code, stdout, stderr = run(
+        capsys, "evaluate", "--retrieved", str(gold), "--reference", str(missing))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"oodoc: error: cannot read {missing}: ")
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the block, rather than hang, after seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_evaluate_fails_when_its_worker_dies_without_a_result(tmp_path, capsys, monkeypatch):
+    gold = _write_gold(tmp_path)
+    monkeypatch.setattr(cli, "_send_links", lambda path, conn: os._exit(7))
+    with _deadline(60):
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--retrieved", str(gold), "--reference", str(gold))
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"oodoc: error: the process reading {gold} stopped without a result "
+                      "(exit code 7)\n")
+    assert not multiprocessing.active_children()
+
+
+def test_a_bad_retrieved_model_stops_the_worker_without_waiting(tmp_path, capsys, monkeypatch):
+    gold = _write_gold(tmp_path)
+    bad = tmp_path / "bad.xml"
+    bad.write_text('<Project ProjectName="x" LinesOfCode="0"><Junk/></Project>', encoding="utf-8")
+    monkeypatch.setattr(cli, "_send_links", lambda path, conn: time.sleep(600))
+    with _deadline(60):
+        code, stdout, stderr = run(
+            capsys, "evaluate", "--retrieved", str(bad), "--reference", str(gold))
+    assert (code, stdout) == (2, "")
+    assert stderr == "oodoc: error: Project/Junk: expected element Packages, found Junk\n"
+    assert not multiprocessing.active_children()
+
+
+class _Outbox:
+    def send(self, obj):
+        self.sent = obj
+
+
+def test_the_worker_switches_the_collector_off_and_sends_links_or_error(tmp_path):
+    gold = _write_gold(tmp_path)
+    outbox = _Outbox()
+    gc.enable()
+    try:
+        cli._send_links(str(gold), outbox)
+        assert not gc.isenabled()
+        links = outbox.sent
+        cli._send_links(str(tmp_path / "missing.xml"), outbox)
+    finally:
+        gc.enable()
+    assert links == extract_links(parse_model(gold.read_text(encoding="utf-8")))
+    assert isinstance(outbox.sent, cli.InputError)
+
+
+# The worker is forked; this runs its entry point in a spawned process, in
+# an interpreter of its own so that spawn's helper process is not left
+# running beside the tests, to show it needs nothing that only fork passes on.
+_SPAWNED_WORKER = """\
+import multiprocessing, pickle, sys
+from oodoc import cli
+context = multiprocessing.get_context("spawn")
+receiver, sender = context.Pipe(duplex=False)
+worker = context.Process(target=cli._send_links, args=(sys.argv[1], sender))
+worker.start()
+sender.close()
+links = receiver.recv()
+worker.join()
+sys.stdout.buffer.write(pickle.dumps((links, worker.exitcode)))
+"""
+
+
+def test_the_worker_runs_under_spawn(tmp_path):
+    gold = _write_gold(tmp_path)
+    result = _python_with_src("-c", _SPAWNED_WORKER, str(gold))
+    assert result.returncode == 0, result.stderr
+    links, exit_code = pickle.loads(result.stdout)
+    assert exit_code == 0
+    assert links == extract_links(parse_model(gold.read_text(encoding="utf-8")))
+    assert len(links) > 50
 
 
 def _fake_renderer(tmp_path) -> Path:
@@ -614,6 +750,9 @@ def _unreachable_after(capsys, *argv) -> tuple[int, int]:
     try:
         code = main(list(argv))
         assert set(threading.enumerate()) == threads, "a thread outlived the command"
+        with pytest.raises(ChildProcessError):  # no child, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+        assert not multiprocessing.active_children(), "a process outlived the command"
         return code, gc.collect()
     finally:
         gc.enable()
