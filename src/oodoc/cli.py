@@ -18,11 +18,14 @@ outlives the command.
 parses and reduces the reference to its link set while the main process
 does the same for the retrieved model, and only the reference's link set
 (or the error that stopped its worker) comes back. The worker switches the
-collector off itself. It is forked, which is safe because the command has
-started no thread by then: it starts without a new interpreter, and no
-start-method helper process is left behind. If the retrieved model fails,
-that error is reported and the worker is killed, not waited for; no
-process outlives the command.
+collector off itself and ignores SIGINT, which the main process handles.
+It is forked: it starts without a new interpreter, and no start-method
+helper process is left behind. A fork copies only the forking thread, so
+a program that calls `main` or `run_evaluate` in-process must not have
+other threads running then; the console script has none. If the
+retrieved model fails, that error is reported and the worker is killed,
+not waited for. The worker closes its copy of the pipe's read end, so if
+the main process is killed the worker's send fails and it exits too.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import argparse
 import contextlib
 import gc
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -363,15 +367,20 @@ def run_document(args) -> int:
     return 0
 
 
-def _send_links(path: str, conn) -> None:
+def _send_links(path: str, receiver, sender) -> None:
     """The evaluate worker: read, parse and reduce the model at path, and
-    send its link set, or the exception that stopped it, over conn."""
+    send its link set, or the exception that stopped it, over sender."""
+    receiver.close()  # a send to a main process that is gone then fails
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process kills it
     gc.disable()  # a worker that is not forked does not inherit the state
     try:
         result = extract_links(parse_model(_read_text(path)))
     except Exception as exc:  # raised again in the main process
         result = exc
-    conn.send(result)
+    try:
+        sender.send(result)
+    except BrokenPipeError:  # the main process is gone
+        pass
 
 
 def run_evaluate(args) -> int:
@@ -379,26 +388,27 @@ def run_evaluate(args) -> int:
 
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_send_links, args=(args.reference, sender),
-                             name="oodoc-reference", daemon=True)
+    worker = context.Process(target=_send_links, args=(args.reference, receiver, sender),
+                             name="oodoc-reference")
     worker.start()
     sender.close()  # so that recv sees the end of the pipe if the worker dies
     try:
         retrieved = extract_links(parse_model(_read_text(args.retrieved)))
         try:
             reference = receiver.recv()
-        except EOFError:
-            worker.join()
-            raise OodocError(f"the process reading {args.reference} stopped "
-                             f"without a result (exit code {worker.exitcode})") from None
-        if isinstance(reference, Exception):
-            raise reference
+        except EOFError:  # the worker stopped without sending
+            reference = None
     except BaseException:
         worker.kill()  # on any error the worker is stopped, not waited for
         raise
     finally:
         receiver.close()
         worker.join()
+    if reference is None:
+        raise OodocError(f"the process reading {args.reference} stopped "
+                         f"without a result (exit code {worker.exitcode})")
+    if isinstance(reference, Exception):
+        raise reference
     report = precision_recall(retrieved, reference)
     sys.stdout.write(format_report(report))
     if args.fail_under is not None:

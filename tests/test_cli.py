@@ -306,12 +306,16 @@ def test_an_unwritable_output_exits_2_with_one_line(tmp_path, capsys, monkeypatc
     assert set(threading.enumerate()) == threads
 
 
+def _env_with_src() -> dict[str, str]:
+    """The environment with the oodoc sources on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
+
+
 def _python_with_src(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     """Run this interpreter on argv with the oodoc sources on its path."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH", "")) if p)}
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *argv], env=_env_with_src(), capture_output=True,
                           timeout=60, **kwargs)
 
 
@@ -540,7 +544,7 @@ def _deadline(seconds: int):
 
 def test_evaluate_fails_when_its_worker_dies_without_a_result(tmp_path, capsys, monkeypatch):
     gold = _write_gold(tmp_path)
-    monkeypatch.setattr(cli, "_send_links", lambda path, conn: os._exit(7))
+    monkeypatch.setattr(cli, "_send_links", lambda path, receiver, sender: os._exit(7))
     with _deadline(60):
         code, stdout, stderr = run(
             capsys, "evaluate", "--retrieved", str(gold), "--reference", str(gold))
@@ -554,7 +558,7 @@ def test_a_bad_retrieved_model_stops_the_worker_without_waiting(tmp_path, capsys
     gold = _write_gold(tmp_path)
     bad = tmp_path / "bad.xml"
     bad.write_text('<Project ProjectName="x" LinesOfCode="0"><Junk/></Project>', encoding="utf-8")
-    monkeypatch.setattr(cli, "_send_links", lambda path, conn: time.sleep(600))
+    monkeypatch.setattr(cli, "_send_links", lambda path, receiver, sender: time.sleep(600))
     with _deadline(60):
         code, stdout, stderr = run(
             capsys, "evaluate", "--retrieved", str(bad), "--reference", str(gold))
@@ -564,21 +568,30 @@ def test_a_bad_retrieved_model_stops_the_worker_without_waiting(tmp_path, capsys
 
 
 class _Outbox:
+    closed = False
+
     def send(self, obj):
         self.sent = obj
+
+    def close(self):
+        self.closed = True
 
 
 def test_the_worker_switches_the_collector_off_and_sends_links_or_error(tmp_path):
     gold = _write_gold(tmp_path)
-    outbox = _Outbox()
+    receiver, outbox = _Outbox(), _Outbox()
+    handler = signal.getsignal(signal.SIGINT)
     gc.enable()
     try:
-        cli._send_links(str(gold), outbox)
+        cli._send_links(str(gold), receiver, outbox)
         assert not gc.isenabled()
+        assert signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+        assert receiver.closed and not outbox.closed
         links = outbox.sent
-        cli._send_links(str(tmp_path / "missing.xml"), outbox)
+        cli._send_links(str(tmp_path / "missing.xml"), receiver, outbox)
     finally:
         gc.enable()
+        signal.signal(signal.SIGINT, handler)
     assert links == extract_links(parse_model(gold.read_text(encoding="utf-8")))
     assert isinstance(outbox.sent, cli.InputError)
 
@@ -591,7 +604,7 @@ import multiprocessing, pickle, sys
 from oodoc import cli
 context = multiprocessing.get_context("spawn")
 receiver, sender = context.Pipe(duplex=False)
-worker = context.Process(target=cli._send_links, args=(sys.argv[1], sender))
+worker = context.Process(target=cli._send_links, args=(sys.argv[1], receiver, sender))
 worker.start()
 sender.close()
 links = receiver.recv()
@@ -608,6 +621,57 @@ def test_the_worker_runs_under_spawn(tmp_path):
     assert exit_code == 0
     assert links == extract_links(parse_model(gold.read_text(encoding="utf-8")))
     assert len(links) > 50
+
+
+def _children(pid: int) -> list[int]:
+    return [int(c) for c in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+def _running(pid: int) -> bool:
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat_line.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/PID/task/TID/children")
+def test_the_worker_exits_when_the_main_process_is_killed(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    write_synthetic_corpus(corpus, packages=10, classes_per_package=20)
+    out = tmp_path / "out"
+    assert run(capsys, "analyze", str(corpus), "-o", str(out), "--documents", "package")[0] == 0
+    model = out / "model.xml"
+    # more than a pipe holds, so a send that nobody reads would block
+    assert len(pickle.dumps(extract_links(parse_model(model.read_text(encoding="utf-8"))))) > 1 << 16
+    with (tmp_path / "stderr").open("w+b") as stderr:
+        command = subprocess.Popen(
+            [sys.executable, "-m", "oodoc.cli", "evaluate",
+             "--retrieved", str(model), "--reference", str(model)],
+            env=_env_with_src(), stdout=subprocess.DEVNULL, stderr=stderr)
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while not workers and command.poll() is None and time.monotonic() < deadline:
+                workers = _children(command.pid)
+                time.sleep(0.001)
+            assert len(workers) == 1, "evaluate started no worker"
+            command.kill()
+            assert command.wait(timeout=60) == -signal.SIGKILL
+            deadline = time.monotonic() + 60
+            while _running(workers[0]) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not _running(workers[0]), "the worker outlived the killed command"
+        finally:
+            command.kill()
+            command.wait()
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        stderr.seek(0)
+        assert stderr.read() == b""
 
 
 def _fake_renderer(tmp_path) -> Path:
