@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
 )
 from .evaluation import extract_links, precision_recall
-from .metrics import MetricsRecord, class_metrics, method_metrics, project_metrics
+from .metrics import MetricsRecord, class_metrics, project_metrics
 from .model import (
     AccessRelation,
     AttributeEntity,
@@ -39,7 +39,7 @@ from .model import (
     resolve_references,
 )
 from .parsing import FileSyntaxTree, parse_file, parse_files
-from .sources import SourceFile, count_loc, scan_directory
+from .sources import SourceFile, scan_directory
 from .xmlio import parse_model, serialize_model, write_model
 
 __version__ = "0.1.0"
@@ -69,7 +69,6 @@ __all__ = [
     "TypeRef",
     "build_model",
     "class_metrics",
-    "count_loc",
     "extract_links",
     "gen_class_content_document",
     "gen_class_dependency_document",
@@ -79,7 +78,6 @@ __all__ = [
     "gen_method_information_document",
     "gen_package_document",
     "lookup",
-    "method_metrics",
     "parse_file",
     "parse_files",
     "parse_model",

@@ -38,7 +38,6 @@ import signal
 import subprocess
 import sys
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 from .documents import (
@@ -57,20 +56,6 @@ from .sources import DEFAULT_EXTENSION, scan_directory
 from .xmlio import parse_model, write_model
 
 RENDERER_ENV_VAR = "OODOC_RENDERER"
-
-
-@dataclass
-class RunConfig:
-    input_root: str
-    output_dir: str = "out"
-    project_name: str = ""
-    source_extension: str = DEFAULT_EXTENSION
-    documents: tuple[str, ...] = DOCUMENT_KINDS
-    render: bool = False
-    renderer_path: str | None = None
-    include_unresolved: bool = False
-    merge_method_docs: bool = False
-    strict: bool = False
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -156,33 +141,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    name = args.name if args.name is not None else Path(args.input).name
-    return RunConfig(
-        input_root=args.input,
-        output_dir=getattr(args, "output", "out"),
-        project_name=name,
-        source_extension=args.ext,
-        documents=tuple(getattr(args, "documents", DOCUMENT_KINDS)),
-        include_unresolved=getattr(args, "include_unresolved", False),
-        merge_method_docs=getattr(args, "merge_method_docs", False),
-        render=getattr(args, "render", False),
-        renderer_path=getattr(args, "renderer", None),
-        strict=args.strict,
-    )
-
-
-def load_project(config: RunConfig):
-    """Scan, parse (with per-file isolation), build and resolve."""
-    files = scan_directory(config.input_root, config.source_extension)
+def load_project(args):
+    """Scan, parse (with per-file isolation) and build. Relations stay
+    unresolved: metrics reports none of them."""
+    files = scan_directory(args.input, args.ext)
     if not files:
-        raise InputError(
-            f"no source files with extension {config.source_extension!r} "
-            f"under {config.input_root}"
-        )
+        raise InputError(f"no source files with extension {args.ext!r} under {args.input}")
     trees, failures = parse_files(files)
-    project = build_model(trees, config.project_name)
-    resolve_references(project)
+    name = args.name if args.name is not None else Path(args.input).name
+    project = build_model(trees, name)
     warnings = [w for t in trees for w in t.warnings]
     return project, failures, warnings
 
@@ -241,9 +208,9 @@ class _Writer(threading.Thread):
             self.files = []
 
 
-def _write_documents(project: Project, config: RunConfig, docs_dir: Path) -> list[Path]:
-    """Write the configured documents under docs_dir; return the paths in
-    the order asked: kinds as configured, classes in model order.
+def _write_documents(project: Project, args, docs_dir: Path) -> list[Path]:
+    """Write the documents args asks for under docs_dir; return the paths
+    in the order asked: kinds as given, classes in model order.
 
     The project-level kinds are made first, then the per-class kinds, each
     group in the order asked. Each document is serialized as soon as it is
@@ -255,12 +222,12 @@ def _write_documents(project: Project, config: RunConfig, docs_dir: Path) -> lis
     this returns or raises, and the first writer error is raised here."""
     _make_dir(docs_dir)
     # project-level kinds first; a stable sort keeps the order asked
-    order = sorted(config.documents, key=PER_CLASS_KINDS.__contains__)
+    order = sorted(args.documents, key=PER_CLASS_KINDS.__contains__)
     written: dict[str, list[Path]] = {}
     writers: list[_Writer] = []
     try:
-        for kind, document in iter_documents(project, order, config.include_unresolved):
-            if kind not in PER_CLASS_KINDS or config.merge_method_docs:
+        for kind, document in iter_documents(project, order, args.include_unresolved):
+            if kind not in PER_CLASS_KINDS or args.merge_method_docs:
                 if kind in PER_CLASS_KINDS:
                     document = merge_per_class_documents(kind, document, project.name)
                 path = docs_dir / f"{kind}.dot"
@@ -286,7 +253,7 @@ def _write_documents(project: Project, config: RunConfig, docs_dir: Path) -> lis
         error, writer.error = writer.error, None
         if error is not None:
             raise error
-    return [path for kind in config.documents for path in written[kind]]
+    return [path for kind in args.documents for path in written[kind]]
 
 
 def _resolve_renderer(explicit: str | None) -> str | None:
@@ -317,52 +284,51 @@ def _render_files(renderer: str, dot_files: list[Path], strict: bool) -> int:
 
 
 def run_analyze(args) -> int:
-    config = _config_from_args(args)
-    project, failures, warnings = load_project(config)
+    project, failures, warnings = load_project(args)
+    resolve_references(project)
     _report_parse_issues(failures, warnings)
-    out = Path(config.output_dir)
+    out = Path(args.output)
     _make_dir(out)
     with _writing(out / "model.xml"):
         write_model(project, out / "model.xml")
     metrics_text = format_metrics(project_metrics(project))
     _write_file(out / "metrics.txt", metrics_text.encode("utf-8"))
     sys.stdout.write(metrics_text)
-    written = _write_documents(project, config, out / "docs")
-    if config.render:
-        renderer = _resolve_renderer(config.renderer_path)
+    written = _write_documents(project, args, out / "docs")
+    if args.render:
+        renderer = _resolve_renderer(args.renderer)
         if renderer is None:
             print(
                 f"oodoc: error: --render needs --renderer or ${RENDERER_ENV_VAR}",
                 file=sys.stderr,
             )
             return 1
-        render_status = _render_files(renderer, written, config.strict)
+        render_status = _render_files(renderer, written, args.strict)
         if render_status:
             return render_status
-    if failures and config.strict:
+    if failures and args.strict:
         return 2
     return 0
 
 
 def run_metrics(args) -> int:
-    config = _config_from_args(args)
-    project, failures, warnings = load_project(config)
+    project, failures, warnings = load_project(args)
     _report_parse_issues(failures, warnings)
     record = project_metrics(project)
     sys.stdout.write(format_metrics(record))
     if args.json_path:
         _write_file(Path(args.json_path), metrics_json(record).encode("utf-8"))
-    if failures and config.strict:
+    if failures and args.strict:
         return 2
     return 0
 
 
 def run_document(args) -> int:
-    config = _config_from_args(args)
-    project, failures, warnings = load_project(config)
+    project, failures, warnings = load_project(args)
+    resolve_references(project)
     _report_parse_issues(failures, warnings)
-    _write_documents(project, config, Path(config.output_dir) / "docs")
-    if failures and config.strict:
+    _write_documents(project, args, Path(args.output) / "docs")
+    if failures and args.strict:
         return 2
     return 0
 
@@ -438,6 +404,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 _COMMANDS = {

@@ -214,8 +214,8 @@ def gen_method_content_document(
     When the project is supplied, accessed attributes are annotated with
     their declared type and invocations with the declaring class.
     """
-    # generate_documents passes _index, the project's class index built
-    # once, so documenting every class stays linear in the number of classes
+    # _GENERATORS passes _index, the project's class index built once, so
+    # documenting every class stays linear in the number of classes
     if _index is None:
         _index = _class_index(project) if project is not None else {}
     graph = DocumentGraph("method-content", cls.name)
@@ -392,20 +392,3 @@ def iter_documents(
         if generate is None:
             raise ValueError(f"unknown document kind: {kind}")
         yield kind, generate(project, include_unresolved)
-
-
-def generate_documents(
-    project: Project,
-    kinds: list[str] | tuple[str, ...] = DOCUMENT_KINDS,
-    include_unresolved: bool = False,
-) -> dict[str, object]:
-    """Generate the requested documents and hold them all.
-
-    Project-level kinds map to a single DocumentGraph; per-class kinds map
-    to a list of (class qualified name, DocumentGraph) pairs. The documents
-    are those of iter_documents, which makes one at a time.
-    """
-    return {
-        kind: list(document) if kind in PER_CLASS_KINDS else document
-        for kind, document in iter_documents(project, kinds, include_unresolved)
-    }

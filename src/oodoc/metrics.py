@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import ClassEntity, MethodEntity, Project
+from .model import ClassEntity, Project
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,6 @@ def project_metrics(project: Project) -> MetricsRecord:
 def class_metrics(cls: ClassEntity) -> tuple[int, int]:
     """Declared (not inherited) member counts; constructors count as methods."""
     return len(cls.attributes), len(cls.methods)
-
-
-def method_metrics(method: MethodEntity) -> tuple[int, int, int, int]:
-    return (
-        len(method.parameters),
-        len(method.local_variables),
-        len(method.accesses),
-        len(method.invocations),
-    )
 
 
 def format_metrics(record: MetricsRecord) -> str:

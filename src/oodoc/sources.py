@@ -1,9 +1,4 @@
-"""Source file discovery and line-of-code counting.
-
-A line counts toward LoC when it holds a token: it is neither blank nor
-made only of comment text, and string literals holding comment markers stay
-code. The lexer in parsing decides this, so LoC needs no second scan.
-"""
+"""Source file discovery: read every source file under a directory."""
 
 from __future__ import annotations
 
@@ -11,7 +6,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError
-from .parsing import count_token_lines, tokenize
 
 DEFAULT_EXTENSION = ".java"
 
@@ -20,10 +14,6 @@ DEFAULT_EXTENSION = ".java"
 class SourceFile:
     path: str
     text: str
-
-    @classmethod
-    def from_text(cls, path: str, text: str) -> "SourceFile":
-        return cls(path=path, text=text)
 
     @classmethod
     def read(cls, path: str | Path) -> "SourceFile":
@@ -36,16 +26,7 @@ class SourceFile:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InputError(f"source file {p} is not valid UTF-8: {exc}") from exc
-        return cls.from_text(p.as_posix(), text)
-
-
-def count_loc(file: SourceFile) -> int:
-    """LoC of one file: the lines that hold a token, so blank lines and lines
-    of comment text alone do not count.
-
-    Raises ParseFailure when the text does not lex, as parsing does.
-    """
-    return count_token_lines(tokenize(file.text, file.path))
+        return cls(p.as_posix(), text)
 
 
 def scan_directory(root: str | Path, extension: str = DEFAULT_EXTENSION) -> list[SourceFile]:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oodoc.documents import DOCUMENT_KINDS, PER_CLASS_KINDS, iter_documents
 from oodoc.model import build_model, resolve_references
 from oodoc.parsing import parse_files
 from oodoc.sources import scan_directory
@@ -20,6 +21,15 @@ def load_fixture_project():
     assert not failures, failures
     project = build_model(trees, PROJECT_NAME)
     return resolve_references(project)
+
+
+def all_documents(project, kinds=DOCUMENT_KINDS) -> dict[str, object]:
+    """iter_documents' documents held at once: a DocumentGraph for each
+    project-level kind, a list of (class, DocumentGraph) for each per-class kind."""
+    return {
+        kind: list(document) if kind in PER_CLASS_KINDS else document
+        for kind, document in iter_documents(project, kinds)
+    }
 
 
 @pytest.fixture(scope="session")

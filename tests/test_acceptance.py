@@ -13,13 +13,12 @@ from fractions import Fraction
 from oodoc.documents import (
     gen_class_dependency_document,
     gen_method_dependency_document,
-    generate_documents,
 )
 from oodoc.dot import serialize_dot, validate_dot
 from oodoc.evaluation import extract_links, precision_recall
 from oodoc.metrics import class_metrics, project_metrics
 from oodoc.model import build_model, class_qualified_name, lookup, resolve_references
-from oodoc.parsing import parse_files
+from oodoc.parsing import count_token_lines, parse_files, tokenize
 from oodoc.sources import scan_directory
 from oodoc.xmlio import parse_model, serialize_model
 
@@ -28,7 +27,7 @@ from checks import (
     assert_referential_integrity,
     assert_resolution_idempotent,
 )
-from conftest import CORE_ELEMENTS, CORE_FRAME, load_fixture_project
+from conftest import CORE_ELEMENTS, CORE_FRAME, all_documents, load_fixture_project
 from genmodels import random_project, write_synthetic_corpus
 from oracles import loc_oracle
 
@@ -126,7 +125,7 @@ def test_criterion_5_precision_recall_worked_example(fixture_project):
 
 def test_criterion_6_dot_validity_and_edge_soundness(fixture_project):
     texts = []
-    docs = generate_documents(fixture_project)
+    docs = all_documents(fixture_project)
     for result in docs.values():
         if isinstance(result, list):
             texts.extend(serialize_dot(g) for _, g in result)
@@ -164,11 +163,9 @@ def test_criterion_6_dot_validity_and_edge_soundness(fixture_project):
 
 
 def test_criterion_7_loc_oracle(fixture_files, fixture_project):
-    from oodoc.sources import count_loc
-
     for f in fixture_files:
-        assert count_loc(f) == loc_oracle(f.text), f.path
-    total = sum(count_loc(f) for f in fixture_files)
+        assert count_token_lines(tokenize(f.text, f.path)) == loc_oracle(f.text), f.path
+    total = sum(count_token_lines(tokenize(f.text, f.path)) for f in fixture_files)
     assert fixture_project.loc == total
     # LoC is asserted only against the oracle; no external corpus figure is assumed
     report(7, f"fixture LoC {total} equals the independent line-filter oracle")
@@ -183,7 +180,7 @@ def test_criterion_8_scale_smoke(tmp_path):
     assert not failures
     project = build_model(trees, "synthetic")
     resolve_references(project)
-    docs = generate_documents(project)
+    docs = all_documents(project)
     for result in docs.values():
         if isinstance(result, list):
             for _, g in result:

@@ -383,6 +383,17 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 1
 
 
+def test_metrics_does_not_resolve_relations(capsys, monkeypatch):
+    expected = run(capsys, "metrics", str(FIXTURE_DIR))
+
+    def refuse(project):
+        raise AssertionError("metrics resolved the model's relations")
+
+    monkeypatch.setattr(cli, "resolve_references", refuse)
+    assert run(capsys, "metrics", str(FIXTURE_DIR)) == expected
+    assert expected[0] == 0
+
+
 def test_metrics_subcommand(tmp_path, capsys):
     json_path = tmp_path / "metrics.json"
     code, stdout, _ = run(
@@ -527,6 +538,22 @@ def test_evaluate_reports_an_unreadable_reference(tmp_path, capsys):
     assert stderr.count("\n") == 1 and stderr.endswith("\n")
 
 
+@pytest.mark.parametrize("bad_side", ["retrieved", "reference"])
+def test_evaluate_reports_a_model_that_is_not_utf8(tmp_path, capsys, bad_side):
+    gold = _write_gold(tmp_path)
+    bad = tmp_path / "latin1.xml"
+    # Latin-1 "é": in UTF-8, 0xE9 must be followed by two continuation bytes
+    bad.write_bytes(gold.read_bytes().replace(b'ProjectName="', b'ProjectName="\xe9', 1))
+    models = {"retrieved": gold, "reference": gold, bad_side: bad}
+    with _deadline(60):
+        code, stdout, stderr = run(capsys, "evaluate", "--retrieved", str(models["retrieved"]),
+                                   "--reference", str(models["reference"]))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"oodoc: error: {bad} is not valid UTF-8: ")
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+    _assert_no_child_left()
+
+
 @contextlib.contextmanager
 def _deadline(seconds: int):
     """Raise TimeoutError in the block, rather than hang, after seconds."""
@@ -565,6 +592,27 @@ def test_a_bad_retrieved_model_stops_the_worker_without_waiting(tmp_path, capsys
     assert (code, stdout) == (2, "")
     assert stderr == "oodoc: error: Project/Junk: expected element Packages, found Junk\n"
     assert not multiprocessing.active_children()
+
+
+def test_evaluate_runs_beside_another_thread(tmp_path, capsys):
+    gold = _write_gold(tmp_path)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, name="waiter")
+    waiter.start()
+    # from Python 3.12 on, os.fork warns that the process has other threads
+    forking = (pytest.warns(DeprecationWarning, match="multi-threaded")
+               if sys.version_info >= (3, 12) else contextlib.nullcontext())
+    try:
+        with _deadline(60), forking:
+            code, stdout, _ = run(
+                capsys, "evaluate", "--retrieved", str(gold), "--reference", str(gold))
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert code == 0
+    assert "precision 1.0000" in stdout and "recall 1.0000" in stdout
+    _assert_no_child_left()
 
 
 class _Outbox:
@@ -804,6 +852,12 @@ def test_outputs_never_land_in_input_root(tmp_path, capsys):
 # run whole commands with the collector off and count what it finds after.
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert not multiprocessing.active_children(), "a process outlived the command"
+
+
 def _unreachable_after(capsys, *argv) -> tuple[int, int]:
     """The exit code of main(argv), run with the collector off, and the
     number of unreachable objects the collector finds after it. No thread
@@ -814,9 +868,7 @@ def _unreachable_after(capsys, *argv) -> tuple[int, int]:
     try:
         code = main(list(argv))
         assert set(threading.enumerate()) == threads, "a thread outlived the command"
-        with pytest.raises(ChildProcessError):  # no child, running or unreaped
-            os.waitpid(-1, os.WNOHANG)
-        assert not multiprocessing.active_children(), "a process outlived the command"
+        _assert_no_child_left()
         return code, gc.collect()
     finally:
         gc.enable()

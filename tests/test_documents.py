@@ -12,12 +12,12 @@ from oodoc.documents import (
     gen_method_dependency_document,
     gen_method_information_document,
     gen_package_document,
-    generate_documents,
+    iter_documents,
     merge_per_class_documents,
 )
 from oodoc.model import ClassEntity, Package, Project, class_qualified_name, lookup
 
-from conftest import CORE_ELEMENTS, CORE_FRAME
+from conftest import CORE_ELEMENTS, CORE_FRAME, all_documents
 
 SHAPE = f"{CORE_FRAME}.MyShape"
 PANEL = f"{CORE_FRAME}.PaintJPanel"
@@ -311,20 +311,20 @@ def test_merge_per_class_documents(fixture_project):
     assert node_by_id(merged, f"{SHAPE}::MyShape#draw(Graphics)").group == SHAPE
 
 
-def test_generate_documents_makes_every_kind_in_order(fixture_project):
-    docs = generate_documents(fixture_project)
+def test_iter_documents_makes_every_kind_in_order(fixture_project):
+    docs = all_documents(fixture_project)
     assert list(docs) == list(DOCUMENT_KINDS)
     assert [name for name, _ in docs["method-content"]] == [
         class_qualified_name(pkg, cls) for pkg in fixture_project.packages for cls in pkg.classes
     ]
 
 
-def test_generate_documents_rejects_an_unknown_kind(fixture_project):
+def test_iter_documents_rejects_an_unknown_kind(fixture_project):
     with pytest.raises(ValueError, match="unknown document kind: nope"):
-        generate_documents(fixture_project, kinds=("package", "nope"))
+        list(iter_documents(fixture_project, ("package", "nope")))
 
 
-def test_generate_documents_calls_generators_replaced_after_import(fixture_project, monkeypatch):
+def test_iter_documents_calls_generators_replaced_after_import(fixture_project, monkeypatch):
     # the benchmark's tracer times each kind by replacing the module's gen_* functions
     calls = []
     for name in dir(oodoc.documents):
@@ -336,7 +336,7 @@ def test_generate_documents_calls_generators_replaced_after_import(fixture_proje
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(oodoc.documents, name, wrapper)
-    generate_documents(fixture_project)
+    all_documents(fixture_project)
     classes = sum(len(pkg.classes) for pkg in fixture_project.packages)
     assert sorted(set(calls)) == sorted(n for n in dir(oodoc.documents) if n.startswith("gen_"))
     assert calls.count("gen_method_content_document") == classes

@@ -10,12 +10,11 @@ from oodoc.documents import (
     DocumentGraph,
     GraphEdge,
     GraphNode,
-    generate_documents,
 )
 from oodoc.dot import serialize_dot, validate_dot
 from oodoc.errors import DotParseError
 
-from conftest import CORE_FRAME
+from conftest import CORE_FRAME, all_documents
 
 SHAPE = f"{CORE_FRAME}.MyShape"
 
@@ -78,7 +77,7 @@ def test_groups_become_clusters():
 
 
 def test_fixture_class_dependency_dot_has_three_edges_into_myshape(fixture_project):
-    docs = generate_documents(fixture_project, kinds=("class-dependency",))
+    docs = all_documents(fixture_project, ("class-dependency",))
     text = serialize_dot(docs["class-dependency"])
     hits = re.findall(r'-> "%s" \[arrowhead="empty"\]' % re.escape(SHAPE), text)
     assert len(hits) == 3
@@ -88,7 +87,7 @@ def test_fixture_class_dependency_dot_has_three_edges_into_myshape(fixture_proje
 
 
 def test_every_generated_document_is_valid_dot(fixture_project):
-    docs = generate_documents(fixture_project)
+    docs = all_documents(fixture_project)
     texts = []
     for result in docs.values():
         if isinstance(result, list):
@@ -103,7 +102,7 @@ def test_every_generated_document_is_valid_dot(fixture_project):
 
 @pytest.mark.skipif(shutil.which("dot") is None, reason="graphviz not installed")
 def test_external_renderer_accepts_fixture_documents(fixture_project, tmp_path):
-    docs = generate_documents(fixture_project, kinds=("class-dependency",))
+    docs = all_documents(fixture_project, ("class-dependency",))
     dot_path = tmp_path / "g.dot"
     dot_path.write_text(serialize_dot(docs["class-dependency"]), encoding="utf-8")
     svg_path = tmp_path / "g.svg"

@@ -17,7 +17,7 @@ def count_links_from_xml(xml_text: str) -> int:
     the serialized document instead of the in-memory model."""
     root = ET.fromstring(xml_text)
     links: set[str] = set()
-    for pkg in root.find("Packages") or []:
+    for pkg in root.iterfind("Packages/Package"):
         pkg_name = pkg.attrib["PackageName"]
         links.add(f"pkg:{pkg_name}")
         classes = pkg.find("Classes")

@@ -7,7 +7,6 @@ import xml.etree.ElementTree as ET
 from oodoc.metrics import (
     class_metrics,
     format_metrics,
-    method_metrics,
     metrics_json,
     project_metrics,
 )
@@ -45,15 +44,16 @@ def test_empty_class_metrics():
     assert class_metrics(ClassEntity(name="E")) == (0, 0)
 
 
-def test_method_metrics_counts(fixture_project):
+def test_method_member_counts(fixture_project):
     rect_ctor = lookup(
         fixture_project, f"{CORE_ELEMENTS}.MyRectangle#MyRectangle(int,int,int,int,Color)"
     )
-    assert method_metrics(rect_ctor)[0] == 5
+    assert len(rect_ctor.parameters) == 5
     draw = lookup(fixture_project, f"{CORE_ELEMENTS}.MyLine#draw(Graphics)")
-    assert method_metrics(draw)[0] == 1
+    assert len(draw.parameters) == 1
     empty = MethodEntity(name="noop", return_type="void")
-    assert method_metrics(empty) == (0, 0, 0, 0)
+    members = (empty.parameters, empty.local_variables, empty.accesses, empty.invocations)
+    assert tuple(map(len, members)) == (0, 0, 0, 0)
 
 
 def test_parameter_counts_agree_with_xml(fixture_project):
@@ -63,7 +63,7 @@ def test_parameter_counts_agree_with_xml(fixture_project):
         for m in root.iter("Method")
     )
     model_counts = sorted(
-        method_metrics(m)[0]
+        len(m.parameters)
         for pkg in fixture_project.packages
         for cls in pkg.classes
         for m in cls.methods

@@ -15,8 +15,8 @@ from oodoc.model import (
     lookup,
     resolve_references,
 )
-from oodoc.parsing import parse_file
-from oodoc.sources import SourceFile, count_loc
+from oodoc.parsing import count_token_lines, parse_file, tokenize
+from oodoc.sources import SourceFile
 
 from checks import (
     assert_containment_tree,
@@ -27,7 +27,7 @@ from conftest import CORE_ELEMENTS, CORE_FRAME, load_fixture_project
 
 
 def build_from_texts(*texts: str, name: str = "demo"):
-    files = [SourceFile.from_text(f"src/F{i}.java", t) for i, t in enumerate(texts)]
+    files = [SourceFile(f"src/F{i}.java", t) for i, t in enumerate(texts)]
     trees = [parse_file(f) for f in files]
     return build_model(trees, name)
 
@@ -53,7 +53,7 @@ def test_zero_files_gives_empty_project():
 
 def test_multi_declarator_becomes_two_attributes():
     project = build_model(
-        [parse_file(SourceFile.from_text("A.java", "class A { int a, b; }"))], "p"
+        [parse_file(SourceFile("A.java", "class A { int a, b; }"))], "p"
     )
     cls = project.packages[0].classes[0]
     assert [a.name for a in cls.attributes] == ["a", "b"]
@@ -67,7 +67,7 @@ def test_duplicate_class_names_both_files():
 
 
 def build_one(path: str, text: str):
-    return build_model([parse_file(SourceFile.from_text(path, text))], "p")
+    return build_model([parse_file(SourceFile(path, text))], "p")
 
 
 def test_duplicate_attribute_names_class_and_file():
@@ -89,7 +89,7 @@ def test_duplicate_attribute_is_reported_before_duplicate_method():
 
 
 def test_build_model_adopts_the_parsed_classes():
-    tree = parse_file(SourceFile.from_text("A.java", "package p; import q.B; class A { } class C { }"))
+    tree = parse_file(SourceFile("A.java", "package p; import q.B; class A { } class C { }"))
     project = build_model([tree], "p")
     classes = [c for pkg in project.packages for c in pkg.classes]
     assert len(classes) == 2 and all(a is b for a, b in zip(classes, tree.classes))
@@ -97,7 +97,8 @@ def test_build_model_adopts_the_parsed_classes():
 
 
 def test_loc_is_sum_of_file_counts(fixture_files, fixture_project):
-    assert fixture_project.loc == sum(count_loc(f) for f in fixture_files)
+    loc = [count_token_lines(tokenize(f.text, f.path)) for f in fixture_files]
+    assert fixture_project.loc == sum(loc)
 
 
 def test_internal_inheritance_resolves(fixture_project):

@@ -13,7 +13,7 @@ from test_lexer import mutate
 
 
 def parse_text(text: str, path: str = "Test.java"):
-    return parse_file(SourceFile.from_text(path, text))
+    return parse_file(SourceFile(path, text))
 
 
 def find_class(tree, name):
@@ -284,7 +284,7 @@ def test_mutants_parse_or_fail_and_build_or_fail(fixture_files):
         file = fixture_files[i % len(fixture_files)]
         text = mutate(file.text, rng)
         try:
-            tree = parse_file(SourceFile.from_text(file.path, text))
+            tree = parse_file(SourceFile(file.path, text))
         except ParseFailure:
             outcomes["failed"] += 1
             continue
@@ -370,7 +370,7 @@ def test_stored_failure_keeps_no_traceback():
         "Generic.java": "class Generic {\n  void m(List<int> x { }\n",
         "Deep.java": f"class Deep {{ void m() {{ int x = {'(' * 3000}1{')' * 3000}; }} }}\n",
     }
-    files = [SourceFile.from_text(path, text) for path, text in texts.items()]
+    files = [SourceFile(path, text) for path, text in texts.items()]
     _, failures = parse_files(files)
     assert len(failures) == len(files)
     for file, stored in zip(files, failures):

@@ -3,15 +3,15 @@ from __future__ import annotations
 import pytest
 
 from oodoc.errors import InputError, ParseFailure
-from oodoc.parsing import parse_file
-from oodoc.sources import SourceFile, count_loc, scan_directory
+from oodoc.parsing import count_token_lines, parse_file, tokenize
+from oodoc.sources import SourceFile, scan_directory
 
 from conftest import FIXTURE_DIR
 from oracles import loc_oracle
 
 
-def loc_of(text: str) -> int:
-    return count_loc(SourceFile.from_text("Test.java", text))
+def loc_of(text: str, path: str = "Test.java") -> int:
+    return count_token_lines(tokenize(text, path))
 
 
 def test_empty_text_counts_zero():
@@ -40,8 +40,8 @@ def test_comment_marker_inside_string_is_code():
 
 def test_fixture_loc_matches_independent_oracle(fixture_files):
     for f in fixture_files:
-        assert count_loc(f) == loc_oracle(f.text), f.path
-    total = sum(count_loc(f) for f in fixture_files)
+        assert loc_of(f.text, f.path) == loc_oracle(f.text), f.path
+    total = sum(loc_of(f.text, f.path) for f in fixture_files)
     assert total == sum(loc_oracle(f.text) for f in fixture_files)
     # regression pin for the authored corpus
     assert total == 198
@@ -49,16 +49,16 @@ def test_fixture_loc_matches_independent_oracle(fixture_files):
 
 def test_count_is_deterministic(fixture_files):
     for f in fixture_files:
-        assert count_loc(f) == count_loc(f)
+        assert loc_of(f.text, f.path) == loc_of(f.text, f.path)
 
 
 def test_parse_file_records_loc():
-    sf = SourceFile.from_text("A.java", "class A {\n}\n")
+    sf = SourceFile("A.java", "class A {\n}\n")
     assert parse_file(sf).loc == 2
-    assert parse_file(sf).loc == count_loc(sf)
+    assert parse_file(sf).loc == loc_of(sf.text, sf.path)
 
 
-def test_count_loc_of_text_that_does_not_lex_raises():
+def test_loc_of_text_that_does_not_lex_raises():
     with pytest.raises(ParseFailure) as exc:
         loc_of("class A {\n  String s = \"open;\n}\n")
     assert (exc.value.line, exc.value.message) == (2, "unterminated literal")
