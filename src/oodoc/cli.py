@@ -268,7 +268,6 @@ def _render_files(renderer: str, dot_files: list[Path], strict: bool) -> int:
             result = subprocess.run(
                 [renderer, "-Tsvg", str(dot_path), "-o", str(svg_path)],
                 capture_output=True,
-                text=True,
             )
         except OSError as exc:
             print(f"oodoc: warning: renderer failed for {dot_path}: {exc}", file=sys.stderr)

@@ -546,8 +546,11 @@ class _Parser:
             try:
                 self._parse_statement(method)
             except _Unsupported as exc:
-                self.warn(f"unsupported construct ({exc.what}); statement skipped", exc.line)
+                self._warn_unsupported(exc)
                 self._skip_statement_tokens()
+
+    def _warn_unsupported(self, exc: _Unsupported):
+        self.warn(f"unsupported construct ({exc.what}); statement skipped", exc.line)
 
     def _parse_statement(self, method: MethodEntity):
         tok = self.peek()
@@ -610,8 +613,19 @@ class _Parser:
         self.expect(";")
 
     def _parse_for(self, method: MethodEntity):
-        line = self.peek().line
-        self.advance()
+        """A header outside the subset costs a warning and the header only:
+        it is skipped to its matching ')', and the body is parsed."""
+        line = self.advance().line
+        header = self.pos
+        try:
+            self._parse_for_header(method, line)
+        except _Unsupported as exc:
+            self._warn_unsupported(exc)
+            self.pos = header
+            self._skip_balanced("(", ")")
+        self._parse_statement(method)
+
+    def _parse_for_header(self, method: MethodEntity, line: int):
         self.expect("(")
         if not self.at(";"):
             if self._looks_like_declaration():
@@ -630,7 +644,6 @@ class _Parser:
                 self.advance()
                 self._parse_expression(method)
         self.expect_after_expression(")")
-        self._parse_statement(method)
 
     def _parse_switch(self, method: MethodEntity):
         self.advance()
@@ -656,7 +669,7 @@ class _Parser:
             try:
                 self._parse_statement(method)
             except _Unsupported as exc:
-                self.warn(f"unsupported construct ({exc.what}); statement skipped", exc.line)
+                self._warn_unsupported(exc)
                 self._skip_statement_tokens()
         self.expect("}")
 

@@ -745,6 +745,15 @@ def test_render_with_external_renderer(tmp_path, capsys):
     assert (out / "docs" / "package.svg").read_text(encoding="utf-8") == "<svg/>"
 
 
+def test_render_ignores_a_renderer_output_that_is_not_utf8(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert analyze_into(capsys, out, "--documents", "package")[0] == 0
+    renderer = tmp_path / "byte-dot"
+    renderer.write_text("#!/bin/sh\nprintf '\\377' >&2\nprintf '\\377'\n", encoding="utf-8")
+    renderer.chmod(renderer.stat().st_mode | stat.S_IEXEC)
+    assert run(capsys, "render", str(out / "docs"), "--renderer", str(renderer)) == (0, "", "")
+
+
 def test_render_uses_environment_variable(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert analyze_into(capsys, out, "--documents", "package")[0] == 0

@@ -234,6 +234,22 @@ def test_unsupported_expression_skips_the_statement_only(statement):
     assert warning.line == 3 and "statement skipped" in warning.message
 
 
+@pytest.mark.parametrize("body, invocations", [
+    ("for (int i = a ? 1 : 0; i < n; i = i + 1) { b(); } c();", [("b", ""), ("c", "")]),
+    ("for (String s : names) { s.go(); }", [("go", "s")]),
+])
+def test_unsupported_for_header_skips_the_header_only(body, invocations):
+    tree = parse_text(f"class C {{\n void m() {{\n {body}\n }}\n}}\n")
+    assert invocations_of(find_class(tree, "C").methods[0]) == invocations
+    assert len(tree.warnings) == 1
+    assert tree.warnings[0].line == 3
+
+
+def test_end_of_file_inside_an_unsupported_for_header_stays_a_failure():
+    with pytest.raises(ParseFailure):
+        parse_text("class C { void m() { for (String s : f(names")
+
+
 @pytest.mark.parametrize("initializer", ["0x1F", "(int) x", "b((int) x)", "x instanceof A"])
 def test_unsupported_attribute_initializer_skips_the_initializer_only(initializer):
     tree = parse_text(f"class C {{ int f = {initializer}, g; int h; void m() {{ }} }}")
