@@ -9,9 +9,12 @@ interface declarations, attributes (multiple declarators per statement),
 constructors, methods with parameter lists and throws clauses, and method
 bodies made of local variable declarations, assignments, call expressions,
 field accesses and the if/else, for, while, switch, return and block
-statements. Everything else inside a body, and an attribute initializer
-outside the subset, is skipped with a warning; unsupported top-level
-declarations (enums, generic types) are warned about and omitted.
+statements. A construct outside the subset costs the smallest of five
+units that holds it, with one warning: a top-level declaration (an enum, a
+generic type), a member (a nested type, type arguments, varargs), an
+attribute initializer (the attribute stays), a for header (the body is
+still parsed) or a statement (a switch with an arrow case label is
+skipped whole).
 Structural damage (unbalanced braces, malformed declaration headers) aborts
 the file with a ParseFailure.
 """
@@ -90,17 +93,6 @@ class Token:
         self.text = text
         self.line = line
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Token):
-            return NotImplemented
-        return (self.kind, self.text, self.line) == (other.kind, other.text, other.line)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.text, self.line))
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.text!r}, {self.line})"
-
 
 @dataclass(frozen=True)
 class ParseWarning:
@@ -123,7 +115,10 @@ class FileSyntaxTree:
 
 
 class _Unsupported(Exception):
-    """Statement-level construct outside the subset; recoverable."""
+    """A construct outside the subset: the unit whose parse catches it (a
+    top-level declaration, a member, an attribute initializer, a for header
+    or a statement) is skipped with one warning, and the file is kept. For a
+    declaration or a member, what is the whole warning."""
 
     def __init__(self, line: int, what: str):
         super().__init__(what)
@@ -296,9 +291,11 @@ class _Parser:
         while not self.at_kind("eof"):
             if self.at("package"):
                 self.fail("only one package declaration is allowed per file")
-            cls = self._parse_type_decl(imports)
-            if cls is not None:
-                classes.append(cls)
+            try:
+                classes.append(self._parse_type_decl(imports))
+            except _Unsupported as exc:
+                self.warn(exc.what, exc.line)
+                self._skip_declaration()
         return FileSyntaxTree(self.path, package_name, imports, classes, self.warnings)
 
     def _dotted_name(self, allow_star: bool = False) -> str:
@@ -314,23 +311,19 @@ class _Parser:
 
     # -- type declarations ----------------------------------------------
 
-    def _parse_type_decl(self, imports: list[str]) -> ClassEntity | None:
+    def _parse_type_decl(self, imports: list[str]) -> ClassEntity:
         line = self.peek().line
         while self.at("@"):
             self._skip_annotation()
         mods = self._parse_modifiers(context="type declaration")
         if self.at("enum"):
-            self.warn("enum declarations are not supported; declaration skipped", self.peek().line)
-            self._skip_declaration()
-            return None
+            raise _Unsupported(self.peek().line, "enum declarations are not supported; declaration skipped")
         if not (self.at("class") or self.at("interface")):
             self.fail(f"expected a class or interface declaration, found {self.peek().text!r}")
         is_interface = self.advance().text == "interface"
         name = self.expect_ident().text
         if self.at("<"):
-            self.warn(f"generic type {name} is not supported; declaration skipped", line)
-            self._skip_declaration()
-            return None
+            raise _Unsupported(line, f"generic type {name} is not supported; declaration skipped")
         if mods["access"] in ("protected", "private"):
             self.fail(f"{mods['access']} is not a valid top-level access level", line)
         cls = ClassEntity(
@@ -389,59 +382,59 @@ class _Parser:
 
     def _parse_members(self, cls: ClassEntity):
         """Append the members up to the closing brace to cls, in order."""
-        while True:
-            if self.at("}") or self.at_kind("eof"):
-                return
-            if self.at(";"):
-                self.advance()
-                continue
-            if self.at("@"):
-                self._skip_annotation()
-                continue
-            line = self.peek().line
-            mods = self._parse_modifiers(context="member declaration")
-            if self.at("class") or self.at("interface") or self.at("enum"):
-                self.warn("nested type declarations are not supported; member skipped", line)
+        while not (self.at("}") or self.at_kind("eof")):
+            try:
+                self._parse_member(cls)
+            except _Unsupported as exc:
+                self.warn(exc.what, exc.line)
                 self._skip_declaration()
-                continue
-            tok = self.peek()
-            if tok.kind != "ident":
-                self.fail(f"malformed member declaration, found {tok.text!r}", tok.line)
-            if tok.text == cls.name and self.peek(1).text == "(":
-                self.advance()
-                self._parse_method(cls, cls.name, None, mods)
-                continue
-            declared_type = self._parse_type_use(for_member=True)
-            if declared_type is None:
-                continue  # generic member skipped, warning already recorded
-            name_tok = self.peek()
-            if name_tok.kind != "ident":
-                self.fail(f"malformed member declaration, found {name_tok.text!r}", name_tok.line)
-            name = self.advance().text
-            if self.at("("):
-                self._parse_method(cls, name, declared_type, mods)
-            else:
-                self._parse_attribute_declarators(cls, name, declared_type, mods)
 
-    def _parse_type_use(self, for_member: bool = False) -> str | None:
-        """A type name: dotted identifiers plus [] suffixes.
+    def _parse_member(self, cls: ClassEntity):
+        if self.at(";"):
+            self.advance()
+            return
+        if self.at("@"):
+            self._skip_annotation()
+            return
+        line = self.peek().line
+        mods = self._parse_modifiers(context="member declaration")
+        if self.at("class") or self.at("interface") or self.at("enum"):
+            raise _Unsupported(line, "nested type declarations are not supported; member skipped")
+        tok = self.peek()
+        if tok.kind != "ident":
+            self.fail(f"malformed member declaration, found {tok.text!r}", tok.line)
+        if tok.text == cls.name and self.peek(1).text == "(":
+            self.advance()
+            self._parse_method(cls, cls.name, None, mods)
+            return
+        try:
+            declared_type = self._parse_type_use()
+        except _Unsupported as exc:
+            raise _Unsupported(exc.line, "generic member declarations are not supported; member skipped")
+        name_tok = self.peek()
+        if name_tok.kind != "ident":
+            self.fail(f"malformed member declaration, found {name_tok.text!r}", name_tok.line)
+        name = self.advance().text
+        if self.at("("):
+            self._parse_method(cls, name, declared_type, mods)
+        else:
+            self._parse_attribute_declarators(cls, name, declared_type, mods)
 
-        Returns None (with a warning) when the type carries generics and
-        for_member is set, after skipping the whole member.
-        """
+    def _parse_type_use(self) -> str:
+        """A type name: dotted identifiers plus [] suffixes."""
         line = self.peek().line
         name = self._dotted_name()
         if self.at("<"):
-            if for_member:
-                self.warn("generic member declarations are not supported; member skipped", line)
-                self._skip_declaration()
-                return None
             raise _Unsupported(line, "generic type use")
+        return name + self._array_suffix()
+
+    def _array_suffix(self) -> str:
+        """Consume the [] pairs after a type or a declarator; return them."""
+        suffix = ""
         while self.at("[") and self.peek(1).text == "]":
-            self.advance()
-            self.advance()
-            name += "[]"
-        return name
+            self.pos += 2
+            suffix += "[]"
+        return suffix
 
     def _parse_attribute_declarators(
         self, cls: ClassEntity, first_name: str, declared_type: str, mods: dict
@@ -450,11 +443,7 @@ class _Parser:
         is_static = "static" in mods["flags"]
         name = first_name
         while True:
-            decl_type = declared_type
-            while self.at("[") and self.peek(1).text == "]":
-                self.advance()
-                self.advance()
-                decl_type += "[]"
+            decl_type = declared_type + self._array_suffix()
             cls.attributes.append(AttributeEntity(name, decl_type, access_level, is_static))
             if self.at("="):
                 self.advance()
@@ -478,8 +467,8 @@ class _Parser:
             return
 
     def _parse_method(self, cls: ClassEntity, name: str, return_type: str | None, mods: dict):
-        """Append the method or constructor (return_type None) to cls,
-        unless its header is outside the subset."""
+        """Append the method or constructor (return_type None) to cls; a
+        header outside the subset raises _Unsupported instead."""
         method = MethodEntity(
             name,
             return_type,
@@ -491,26 +480,17 @@ class _Parser:
         self.expect("(")
         if not self.at(")"):
             while True:
+                # before the type too, so that "f(... x)" costs the method only
                 if self.at("..."):
-                    self.warn(f"varargs are not supported; method {name} skipped", self.peek().line)
-                    self._recover_from_member_header()
-                    return
+                    raise _Unsupported(self.peek().line, f"varargs are not supported; method {name} skipped")
                 try:
                     ptype = self._parse_type_use()
                 except _Unsupported:
-                    self.warn(f"unsupported parameter type; method {name} skipped", self.peek().line)
-                    self._recover_from_member_header()
-                    return
+                    raise _Unsupported(self.peek().line, f"unsupported parameter type; method {name} skipped")
                 if self.at("..."):
-                    self.warn(f"varargs are not supported; method {name} skipped", self.peek().line)
-                    self._recover_from_member_header()
-                    return
+                    raise _Unsupported(self.peek().line, f"varargs are not supported; method {name} skipped")
                 pname = self.expect_ident().text
-                while self.at("[") and self.peek(1).text == "]":
-                    self.advance()
-                    self.advance()
-                    ptype += "[]"
-                parameters.append(Parameter(pname, ptype, len(parameters)))
+                parameters.append(Parameter(pname, ptype + self._array_suffix(), len(parameters)))
                 if self.at(","):
                     self.advance()
                     continue
@@ -528,7 +508,7 @@ class _Parser:
             if cls.is_interface:
                 # harvest is defined for class bodies only; skip the block
                 self.warn("interface method bodies are ignored", self.peek().line)
-                self._skip_balanced_block()
+                self._skip_balanced("{", "}")
             else:
                 self.advance()
                 self._parse_block(method)
@@ -543,11 +523,14 @@ class _Parser:
 
     def _parse_block(self, method: MethodEntity):
         while not self.at("}") and not self.at_kind("eof"):
-            try:
-                self._parse_statement(method)
-            except _Unsupported as exc:
-                self._warn_unsupported(exc)
-                self._skip_statement_tokens()
+            self._parse_or_skip_statement(method)
+
+    def _parse_or_skip_statement(self, method: MethodEntity):
+        try:
+            self._parse_statement(method)
+        except _Unsupported as exc:
+            self._warn_unsupported(exc)
+            self._skip_statement_tokens()
 
     def _warn_unsupported(self, exc: _Unsupported):
         self.warn(f"unsupported construct ({exc.what}); statement skipped", exc.line)
@@ -646,7 +629,8 @@ class _Parser:
         self.expect_after_expression(")")
 
     def _parse_switch(self, method: MethodEntity):
-        self.advance()
+        start = self.pos
+        line = self.advance().line
         self.expect("(")
         self._parse_expression(method)
         self.expect_after_expression(")")
@@ -654,23 +638,19 @@ class _Parser:
         while not self.at("}"):
             if self.at_kind("eof"):
                 self.fail("unexpected end of file inside switch")
-            if self.at("case"):
-                self.advance()
-                while not self.at(":"):
-                    if self.at_kind("eof"):
-                        self.fail("unexpected end of file inside case label")
-                    self.advance()
+            if self.at("case") or self.at("default"):
+                if self.advance().text == "case":
+                    while not (self.at(":") or self.at("->")):
+                        if self.at_kind("eof"):
+                            self.fail("unexpected end of file inside case label")
+                        self.advance()
+                if self.at("->"):
+                    # a switch of rules is skipped whole, from its keyword
+                    self.pos = start
+                    raise _Unsupported(line, "arrow case label")
                 self.expect(":")
                 continue
-            if self.at("default"):
-                self.advance()
-                self.expect(":")
-                continue
-            try:
-                self._parse_statement(method)
-            except _Unsupported as exc:
-                self._warn_unsupported(exc)
-                self._skip_statement_tokens()
+            self._parse_or_skip_statement(method)
         self.expect("}")
 
     def _looks_like_declaration(self) -> bool:
@@ -707,11 +687,7 @@ class _Parser:
         declared_type = self._parse_type_use()
         while True:
             name = self.expect_ident().text
-            decl_type = declared_type
-            while self.at("[") and self.peek(1).text == "]":
-                self.advance()
-                self.advance()
-                decl_type += "[]"
+            decl_type = declared_type + self._array_suffix()
             method.local_variables.append(LocalVariableEntity(name, decl_type))
             if self.at("="):
                 self.advance()
@@ -723,40 +699,39 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def _parse_expression(self, method: MethodEntity) -> str:
-        text = self._parse_binary(method)
+    def _parse_expression(self, method: MethodEntity):
+        self._parse_binary(method)
         tok = self.peek()
         if tok.text == "=" and tok.kind == "punct":
             self.advance()
-            rhs = self._parse_expression(method)
-            return f"{text} = {rhs}"
-        if tok.kind == "punct" and tok.text in ("+=", "-=", "*=", "/=", "%=", "?", "->", "++", "--"):
+            self._parse_expression(method)
+        elif tok.kind == "punct" and tok.text in ("+=", "-=", "*=", "/=", "%=", "?", "->", "++", "--"):
             raise _Unsupported(tok.line, f"operator {tok.text!r}")
-        return text
 
-    def _parse_binary(self, method: MethodEntity, min_level: int = 0) -> str:
+    def _parse_binary(self, method: MethodEntity, min_level: int = 0):
         """Left-associative binary operators by precedence climbing."""
-        text = self._parse_unary(method)
+        self._parse_unary(method)
         while True:
             # only punct tokens can carry an operator's text
-            op = self.tokens[self.pos].text
-            level = _BINARY_LEVELS.get(op)
+            level = _BINARY_LEVELS.get(self.tokens[self.pos].text)
             if level is None or level < min_level:
-                return text
+                return
             self.pos += 1
-            rhs = self._parse_binary(method, level + 1)
-            text = f"{text} {op} {rhs}"
+            self._parse_binary(method, level + 1)
 
-    def _parse_unary(self, method: MethodEntity) -> str:
+    def _parse_unary(self, method: MethodEntity):
         tok = self.peek()
         if tok.kind == "punct" and tok.text in ("!", "-", "+"):
             self.advance()
-            return tok.text + self._parse_unary(method)
-        if tok.kind == "punct" and tok.text in ("++", "--", "~"):
+            self._parse_unary(method)
+        elif tok.kind == "punct" and tok.text in ("++", "--", "~"):
             raise _Unsupported(tok.line, f"operator {tok.text!r}")
-        return self._parse_postfix(method)
+        else:
+            self._parse_postfix(method)
 
-    def _parse_postfix(self, method: MethodEntity) -> str:
+    def _parse_postfix(self, method: MethodEntity):
+        """A primary and its selectors; records the calls and the field
+        access they make, each with the text of its receiver."""
         text = self._parse_primary(method)
         pending: tuple[str, str] | None = None  # (field name, receiver text)
         while True:
@@ -783,7 +758,6 @@ class _Parser:
             break
         if pending is not None:
             method.accesses.append(AccessRelation(*pending))
-        return text
 
     def _parse_arguments(self, method: MethodEntity):
         self.expect("(")
@@ -881,36 +855,18 @@ class _Parser:
                     if depth == 0:
                         return
 
-    def _skip_balanced_block(self):
-        self._skip_balanced("{", "}")
-
     def _skip_declaration(self):
         """Consume a declaration we chose not to model: through its block or ';'."""
         while not self.at_kind("eof"):
             tok = self.peek()
             if tok.kind == "punct" and tok.text == "{":
-                self._skip_balanced_block()
+                self._skip_balanced("{", "}")
                 return
             if tok.kind == "punct" and tok.text == ";":
                 self.advance()
                 return
             self.advance()
         self.fail("unexpected end of file inside skipped declaration")
-
-    def _recover_from_member_header(self):
-        """Abandon a member after its header failed: eat params, throws, body."""
-        depth = 1  # the already-consumed '('
-        while depth > 0:
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.fail("unexpected end of file (unbalanced parentheses)")
-            self.advance()
-            if tok.kind == "punct":
-                if tok.text == "(":
-                    depth += 1
-                elif tok.text == ")":
-                    depth -= 1
-        self._skip_declaration()
 
     def _skip_statement_tokens(self):
         """Recover after an unsupported statement: to ';' or past one block."""

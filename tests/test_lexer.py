@@ -18,7 +18,7 @@ import string
 import pytest
 
 from oodoc.errors import ParseFailure
-from oodoc.parsing import _IDENT_TAIL_RE, _TOKEN_RE, Token, count_token_lines, tokenize
+from oodoc.parsing import _IDENT_TAIL_RE, _TOKEN_RE, count_token_lines, tokenize
 
 from oracles import loc_oracle, reference_tokenize
 
@@ -177,12 +177,6 @@ def test_lexer_patterns_compile_on_python_3_10():
     # possessive quantifiers and atomic groups arrive in Python 3.11's re
     for pattern in (_TOKEN_RE.pattern, _IDENT_TAIL_RE.pattern):
         assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
-
-
-def test_tokens_compare_by_value():
-    a, b = Token("ident", "x", 3), Token("ident", "x", 3)
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != Token("ident", "x", 4) and a != ("ident", "x", 3)
 
 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"])

@@ -395,3 +395,69 @@ def test_stored_failure_keeps_no_traceback():
         assert stored.__traceback__ is None and stored.__context__ is None
         assert (stored.path, stored.line, stored.message) == (
             raised.value.path, raised.value.line, raised.value.message)
+
+
+def test_every_declaration_and_member_skip_keeps_its_message_and_line():
+    text = (
+        "package p;\n"
+        "enum E { A }\n"
+        "class Box<T> { T t; }\n"
+        "class C {\n"
+        "  private static\n"
+        "  java.util.List<String> names;\n"
+        "  static class Inner { }\n"
+        "  void log(String... parts) { a(); }\n"
+        "  void put(int k,\n"
+        "           Map<K, V> m) { b(); }\n"
+        "  int keep;\n"
+        "  void dots(... x) { }\n"
+        "  void ok() { c(); }\n"
+        "}\n"
+    )
+    tree = parse_text(text)
+    assert [(w.line, w.message) for w in tree.warnings] == [
+        (2, "enum declarations are not supported; declaration skipped"),
+        (3, "generic type Box is not supported; declaration skipped"),
+        (6, "generic member declarations are not supported; member skipped"),
+        (7, "nested type declarations are not supported; member skipped"),
+        (8, "varargs are not supported; method log skipped"),
+        (10, "unsupported parameter type; method put skipped"),
+        (12, "varargs are not supported; method dots skipped"),
+    ]
+    assert [c.name for c in tree.classes] == ["C"]
+    cls = tree.classes[0]
+    assert [a.name for a in cls.attributes] == ["keep"]
+    assert [m.name for m in cls.methods] == ["ok"]
+    assert invocations_of(cls.methods[0]) == [("c", "")]
+
+
+def test_arrow_switch_costs_the_switch_only():
+    text = (
+        "class C {\n"
+        " void m() {\n"
+        "  switch (x) { case 1 -> a(); default -> b(); } c();\n"
+        " }\n"
+        " void n() { d(); }\n"
+        "}\n"
+    )
+    tree = parse_text(text)
+    cls = find_class(tree, "C")
+    assert [m.name for m in cls.methods] == ["m", "n"]
+    assert invocations_of(cls.methods[0]) == [("c", "")]
+    assert invocations_of(cls.methods[1]) == [("d", "")]
+    assert [(w.line, w.message) for w in tree.warnings] == [
+        (3, "unsupported construct (arrow case label); statement skipped")]
+
+
+def test_receiver_text_of_each_primary():
+    tree = parse_text(
+        'class C { void m() { (a + b).c(); xs[i + 1].go(); new T(a).go(); "s".length();'
+        " x = -a.b(); this.p.q.r(); x = y.z(); n = !this.ok.f; (a).b.c = 1; } }"
+    )
+    method = find_class(tree, "C").methods[0]
+    assert invocations_of(method) == [
+        ("c", "(...)"), ("go", "xs[]"), ("T", "T"), ("go", "new T()"),
+        ("length", '"s"'), ("b", "a"), ("r", "this.p.q"), ("z", "y"),
+    ]
+    assert accesses_of(method) == [("f", "this.ok"), ("c", "(...).b")]
+    assert tree.warnings == []
