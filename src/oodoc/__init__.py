@@ -35,7 +35,6 @@ from .model import (
     Project,
     TypeRef,
     build_model,
-    lookup,
     resolve_references,
 )
 from .parsing import FileSyntaxTree, parse_file, parse_files
@@ -77,7 +76,6 @@ __all__ = [
     "gen_method_dependency_document",
     "gen_method_information_document",
     "gen_package_document",
-    "lookup",
     "parse_file",
     "parse_files",
     "parse_model",

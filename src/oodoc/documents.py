@@ -51,15 +51,6 @@ class DocumentGraph:
     nodes: list[GraphNode] = field(default_factory=list)
     edges: list[GraphEdge] = field(default_factory=list)
 
-    def check(self):
-        ids = [n.node_id for n in self.nodes]
-        if len(ids) != len(set(ids)):
-            raise ValueError(f"duplicate node ids in {self.kind} document")
-        known = set(ids)
-        for e in self.edges:
-            if e.src not in known or e.dst not in known:
-                raise ValueError(f"dangling edge {e.src} -> {e.dst} in {self.kind} document")
-
 
 def _yesno(flag: bool) -> str:
     return "TRUE" if flag else "FALSE"

@@ -18,11 +18,6 @@ from .model import Project, class_qualified_name
 LinkSet = set[str]
 
 
-def _method_body(cls_qname: str, method) -> str:
-    types = ",".join(p.declared_type for p in method.parameters)
-    return f"{cls_qname}#{method.name}({types})"
-
-
 def extract_links(project: Project) -> LinkSet:
     """One canonical link per model element and per resolved dependency."""
     links: LinkSet = set()
@@ -39,7 +34,7 @@ def extract_links(project: Project) -> LinkSet:
             for attr in cls.attributes:
                 links.add(f"attr:{qname}#{attr.name}")
             for method in cls.methods:
-                body = _method_body(qname, method)
+                body = f"{qname}#{method.signature}"
                 links.add(f"method:{body}")
                 for var in method.local_variables:
                     links.add(f"local:{body}#{var.name}")

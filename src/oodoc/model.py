@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import InputError, ModelError
+from .errors import ModelError
 
 if TYPE_CHECKING:
     from .parsing import FileSyntaxTree
@@ -395,47 +395,3 @@ def collect_external_types(project: Project) -> list[str]:
                     if acc.declaring_class and acc.declaring_class not in internal:
                         names.add(acc.declaring_class)
     return sorted(names)
-
-
-def lookup(project: Project, qualified_name: str):
-    """Find the package, class, attribute or method a dotted name denotes.
-
-    Attribute form: pkg.Class#name; method form: pkg.Class#name(type,...).
-    Returns None when nothing matches; malformed names raise InputError.
-    """
-    if not qualified_name:
-        raise InputError("empty qualified name")
-    if qualified_name.count("#") > 1:
-        raise InputError(f"malformed qualified name: {qualified_name!r}")
-    if "#" in qualified_name:
-        class_part, member = qualified_name.split("#", 1)
-        if not class_part or not member:
-            raise InputError(f"malformed qualified name: {qualified_name!r}")
-        cls = lookup(project, class_part)
-        if not isinstance(cls, ClassEntity):
-            return None
-        if "(" in member:
-            if not member.endswith(")"):
-                raise InputError(f"malformed method signature: {qualified_name!r}")
-            name, arglist = member[:-1].split("(", 1)
-            wanted = tuple(t.strip() for t in arglist.split(",")) if arglist else ()
-            for m in cls.methods:
-                if m.name == name and tuple(p.declared_type for p in m.parameters) == wanted:
-                    return m
-            return None
-        for a in cls.attributes:
-            if a.name == member:
-                return a
-        return None
-    if not _is_dotted_name(qualified_name):
-        raise InputError(f"malformed qualified name: {qualified_name!r}")
-    for pkg in project.packages:
-        if pkg.qualified_name == qualified_name:
-            return pkg
-    pkg_name, _, simple = qualified_name.rpartition(".")
-    for pkg in project.packages:
-        if pkg.qualified_name == pkg_name:
-            for cls in pkg.classes:
-                if cls.name == simple:
-                    return cls
-    return None

@@ -1,12 +1,11 @@
 """XML exchange format for project models.
 
-The element vocabulary is fixed: Project, Packages, Package, Classes,
-Class, SuperInterfaces, Attributes, Attribute, Methods, Method,
-Parameters, Parameter, LocalVariables, LocalVariable, AttributeAccesses,
-AttributeAccess, MethodInvocations, MethodInvocation, MethodExceptions,
-MethodException. Serialization is byte-deterministic (two-space indent,
-fixed attribute order, UTF-8) so equal models produce identical documents,
-and parse_model(serialize_model(p)) rebuilds a structurally equal project.
+The element vocabulary is fixed: _ATTRS names every element and its
+attributes, in the order they are written, and the writer and the reader
+both take it from there. Serialization is byte-deterministic (two-space
+indent, fixed attribute order, UTF-8) so equal models produce identical
+documents, and parse_model(serialize_model(p)) rebuilds a structurally
+equal project.
 Tabs and line ends in names are written as character references, so they
 survive; a name with a character XML 1.0 cannot carry at all is refused.
 
@@ -49,9 +48,32 @@ _CHUNK_LINES = 4096
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
-def _attr(value: str) -> str:
-    # "&" first, so that the entities the later replacements add stay whole
-    return value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").replace('"', "&quot;")
+# The vocabulary of the format: each element's attribute names, in the
+# order they are written. The reader allows these names and no others.
+_ATTRS = {
+    "Project": ("ProjectName", "LinesOfCode"),
+    "Packages": (),
+    "Package": ("PackageName",),
+    "Classes": (),
+    "Class": ("ClassName", "classAccessLevel", "IsInterface", "Superclass", "SuperclassInternal"),
+    "SuperInterfaces": ("Name", "Internal"),
+    "Attributes": (),
+    "Attribute": ("Name", "DeclaredType", "AccessLevel", "IsStatic"),
+    "Methods": (),
+    "Method": ("MethodName", "MethodAccessLevel", "ReturnType", "IsStatic", "IsConstructor"),
+    "Parameters": ("NumberOfParameters",),
+    "Parameter": ("Name", "DeclaredType", "Order"),
+    "LocalVariables": (),
+    "LocalVariable": ("Name", "DeclaredType"),
+    "AttributeAccesses": (),
+    "AttributeAccess": ("Name", "Receiver", "DeclaringClass", "Resolved"),
+    "MethodInvocations": (),
+    "MethodInvocation": ("Name", "Receiver", "DeclaringClass", "Resolved"),
+    "MethodExceptions": (),
+    "MethodException": ("Name",),
+}
+# the text before each attribute's value, built once per element
+_HEADS = {tag: tuple(f' {name}="' for name in names) for tag, names in _ATTRS.items()}
 
 
 def _bool(value: bool) -> str:
@@ -63,13 +85,31 @@ class _Writer:
         self.lines = [_XML_HEADER]
         self.lines_taken = 0  # lines already handed out by take()
 
-    def open(self, depth: int, tag: str, attrs: list[tuple[str, str]], empty: bool = False):
-        parts = "".join(f' {name}="{_attr(value)}"' for name, value in attrs)
-        suffix = "/>" if empty else ">"
-        self.lines.append(f"{'  ' * depth}<{tag}{parts}{suffix}")
+    def open(self, depth: int, tag: str, values: tuple = (), empty: bool = False):
+        """The start tag of tag, with one value per name in _ATTRS[tag], in
+        that order; an attribute whose value is None is left out."""
+        line = f"{'  ' * depth}<{tag}"
+        for head, value in zip(_HEADS[tag], values):
+            if value is not None:
+                # "&" first, so that the entities the later replacements add stay whole
+                value = value.replace("&", "&amp;").replace(">", "&gt;")
+                value = value.replace("<", "&lt;").replace('"', "&quot;")
+                line += f'{head}{value}"'
+        self.lines.append(f"{line}/>" if empty else f"{line}>")
 
     def close(self, depth: int, tag: str):
         self.lines.append(f"{'  ' * depth}</{tag}>")
+
+    def list_element(self, depth: int, tag: str, child: str, rows: list[tuple], values: tuple = ()):
+        """Element tag, holding one empty child element per row of attribute
+        values, or written empty when there are no rows."""
+        if rows:
+            self.open(depth, tag, values)
+            for row in rows:
+                self.open(depth + 1, child, row, empty=True)
+            self.close(depth, tag)
+        else:
+            self.open(depth, tag, values, empty=True)
 
     def take(self) -> str:
         """The lines written since the last take, as text, and forget them.
@@ -105,15 +145,14 @@ def _model_chunks(project: Project) -> Iterator[str]:
     escaped before it is yielded; a piece ends after the class that brings
     it to _CHUNK_LINES lines or more, or at the end of the document."""
     w = _Writer()
-    project_attrs = [("ProjectName", project.name), ("LinesOfCode", str(project.loc))]
-    w.open(0, "Project", project_attrs)
+    w.open(0, "Project", (project.name, str(project.loc)))
     if project.packages:
-        w.open(1, "Packages", [])
+        w.open(1, "Packages")
         for pkg in project.packages:
             yield from _write_package(w, pkg)
         w.close(1, "Packages")
     else:
-        w.open(1, "Packages", [], empty=True)
+        w.open(1, "Packages", empty=True)
     w.close(0, "Project")
     yield w.take()
 
@@ -146,156 +185,65 @@ def write_model(project: Project, path: str | os.PathLike) -> None:
 
 
 def _write_package(w: _Writer, pkg: Package) -> Iterator[str]:
-    w.open(2, "Package", [("PackageName", pkg.qualified_name)])
+    w.open(2, "Package", (pkg.qualified_name,))
     if pkg.classes:
-        w.open(3, "Classes", [])
+        w.open(3, "Classes")
         for cls in pkg.classes:
             _write_class(w, cls)
             if len(w.lines) >= _CHUNK_LINES:
                 yield w.take()
         w.close(3, "Classes")
     else:
-        w.open(3, "Classes", [], empty=True)
+        w.open(3, "Classes", empty=True)
     w.close(2, "Package")
 
 
 def _write_class(w: _Writer, cls: ClassEntity):
-    attrs = [
-        ("ClassName", cls.name),
-        ("classAccessLevel", cls.access_level),
-        ("IsInterface", _bool(cls.is_interface)),
-    ]
-    if cls.superclass is not None:
-        attrs.append(("Superclass", cls.superclass.name))
-        attrs.append(("SuperclassInternal", _bool(cls.superclass.internal)))
-    w.open(4, "Class", attrs)
+    sup = cls.superclass
+    w.open(4, "Class", (
+        cls.name, cls.access_level, _bool(cls.is_interface),
+        None if sup is None else sup.name, None if sup is None else _bool(sup.internal),
+    ))
     if cls.super_interfaces:
         for ref in cls.super_interfaces:
-            w.open(5, "SuperInterfaces", [("Name", ref.name), ("Internal", _bool(ref.internal))], empty=True)
+            w.open(5, "SuperInterfaces", (ref.name, _bool(ref.internal)), empty=True)
     else:
-        w.open(5, "SuperInterfaces", [], empty=True)
-    if cls.attributes:
-        w.open(5, "Attributes", [])
-        for attr in cls.attributes:
-            w.open(
-                6,
-                "Attribute",
-                [
-                    ("Name", attr.name),
-                    ("DeclaredType", attr.declared_type),
-                    ("AccessLevel", attr.access_level),
-                    ("IsStatic", _bool(attr.is_static)),
-                ],
-                empty=True,
-            )
-        w.close(5, "Attributes")
-    else:
-        w.open(5, "Attributes", [], empty=True)
+        w.open(5, "SuperInterfaces", empty=True)
+    w.list_element(5, "Attributes", "Attribute", [
+        (a.name, a.declared_type, a.access_level, _bool(a.is_static)) for a in cls.attributes
+    ])
     if cls.methods:
-        w.open(5, "Methods", [])
+        w.open(5, "Methods")
         for method in cls.methods:
             _write_method(w, method)
         w.close(5, "Methods")
     else:
-        w.open(5, "Methods", [], empty=True)
+        w.open(5, "Methods", empty=True)
     w.close(4, "Class")
 
 
 def _write_method(w: _Writer, m: MethodEntity):
-    attrs = [("MethodName", m.name), ("MethodAccessLevel", m.access_level)]
-    if m.return_type is not None:
-        attrs.append(("ReturnType", m.return_type))
-    attrs.append(("IsStatic", _bool(m.is_static)))
-    attrs.append(("IsConstructor", _bool(m.is_constructor)))
-    w.open(6, "Method", attrs)
-    count = [("NumberOfParameters", str(len(m.parameters)))]
-    if m.parameters:
-        w.open(7, "Parameters", count)
-        for p in m.parameters:
-            w.open(
-                8,
-                "Parameter",
-                [("Name", p.name), ("DeclaredType", p.declared_type), ("Order", str(p.order))],
-                empty=True,
-            )
-        w.close(7, "Parameters")
-    else:
-        w.open(7, "Parameters", count, empty=True)
-    if m.local_variables:
-        w.open(7, "LocalVariables", [])
-        for v in m.local_variables:
-            w.open(8, "LocalVariable", [("Name", v.name), ("DeclaredType", v.declared_type)], empty=True)
-        w.close(7, "LocalVariables")
-    else:
-        w.open(7, "LocalVariables", [], empty=True)
-    if m.accesses:
-        w.open(7, "AttributeAccesses", [])
-        for a in m.accesses:
-            w.open(
-                8,
-                "AttributeAccess",
-                [
-                    ("Name", a.attribute_name),
-                    ("Receiver", a.receiver),
-                    ("DeclaringClass", a.declaring_class),
-                    ("Resolved", _bool(a.resolved)),
-                ],
-                empty=True,
-            )
-        w.close(7, "AttributeAccesses")
-    else:
-        w.open(7, "AttributeAccesses", [], empty=True)
-    if m.invocations:
-        w.open(7, "MethodInvocations", [])
-        for inv in m.invocations:
-            w.open(
-                8,
-                "MethodInvocation",
-                [
-                    ("Name", inv.method_name),
-                    ("Receiver", inv.receiver),
-                    ("DeclaringClass", inv.declaring_class),
-                    ("Resolved", _bool(inv.resolved)),
-                ],
-                empty=True,
-            )
-        w.close(7, "MethodInvocations")
-    else:
-        w.open(7, "MethodInvocations", [], empty=True)
-    if m.throws:
-        w.open(7, "MethodExceptions", [])
-        for name in m.throws:
-            w.open(8, "MethodException", [("Name", name)], empty=True)
-        w.close(7, "MethodExceptions")
-    else:
-        w.open(7, "MethodExceptions", [], empty=True)
+    w.open(6, "Method", (m.name, m.access_level, m.return_type, _bool(m.is_static), _bool(m.is_constructor)))
+    w.list_element(
+        7, "Parameters", "Parameter", [(p.name, p.declared_type, str(p.order)) for p in m.parameters],
+        (str(len(m.parameters)),),
+    )
+    w.list_element(7, "LocalVariables", "LocalVariable", [
+        (v.name, v.declared_type) for v in m.local_variables
+    ])
+    w.list_element(7, "AttributeAccesses", "AttributeAccess", [
+        (a.attribute_name, a.receiver, a.declaring_class, _bool(a.resolved)) for a in m.accesses
+    ])
+    w.list_element(7, "MethodInvocations", "MethodInvocation", [
+        (i.method_name, i.receiver, i.declaring_class, _bool(i.resolved)) for i in m.invocations
+    ])
+    w.list_element(7, "MethodExceptions", "MethodException", [(name,) for name in m.throws])
     w.close(6, "Method")
 
 
 # -- parsing ------------------------------------------------------------
 
-_ALLOWED_ATTRS = {
-    "Project": {"ProjectName", "LinesOfCode"},
-    "Packages": set(),
-    "Package": {"PackageName"},
-    "Classes": set(),
-    "Class": {"ClassName", "classAccessLevel", "IsInterface", "Superclass", "SuperclassInternal"},
-    "SuperInterfaces": {"Name", "Internal"},
-    "Attributes": set(),
-    "Attribute": {"Name", "DeclaredType", "AccessLevel", "IsStatic"},
-    "Methods": set(),
-    "Method": {"MethodName", "MethodAccessLevel", "ReturnType", "IsStatic", "IsConstructor"},
-    "Parameters": {"NumberOfParameters"},
-    "Parameter": {"Name", "DeclaredType", "Order"},
-    "LocalVariables": set(),
-    "LocalVariable": {"Name", "DeclaredType"},
-    "AttributeAccesses": set(),
-    "AttributeAccess": {"Name", "Receiver", "DeclaringClass", "Resolved"},
-    "MethodInvocations": set(),
-    "MethodInvocation": {"Name", "Receiver", "DeclaringClass", "Resolved"},
-    "MethodExceptions": set(),
-    "MethodException": {"Name"},
-}
+_ALLOWED_ATTRS = {tag: frozenset(names) for tag, names in _ATTRS.items()}
 
 # The reader builds the model from expat's start and end events, with one
 # frame per open element, and never holds an element tree. A handler raises
@@ -442,13 +390,19 @@ def _start_root(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     r.stack.append(_Frame(tag, loc, parent.entity, set()))
 
 
-def _start_in_project(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    loc = f"{parent.location}/{tag}"
-    _check(tag, attrs, loc, "Packages")
-    if parent.seen:
-        raise SchemaError(parent.location, "element Packages may appear at most once")
-    parent.seen.add(tag)
-    r.stack.append(_Frame(tag, loc, parent.entity))
+def _start_only(child: str):
+    """The start handler of an element whose one allowed child, child, may
+    appear at most once (Project's Packages, Package's Classes)."""
+
+    def start(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+        loc = f"{parent.location}/{tag}"
+        _check(tag, attrs, loc, child)
+        if parent.seen:
+            raise SchemaError(parent.location, f"element {child} may appear at most once")
+        parent.seen.add(tag)
+        r.stack.append(_Frame(tag, loc, parent.entity))
+
+    return start
 
 
 def _start_in_packages(r: _Reader, parent: _Frame, tag: str, attrs: dict):
@@ -457,15 +411,6 @@ def _start_in_packages(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     pkg = Package(qualified_name=attrs["PackageName"])
     parent.entity.packages.append(pkg)
     r.stack.append(_Frame(tag, loc, pkg, set()))
-
-
-def _start_in_package(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    loc = f"{parent.location}/{tag}"
-    _check(tag, attrs, loc, "Classes")
-    if parent.seen:
-        raise SchemaError(parent.location, "element Classes may appear at most once")
-    parent.seen.add(tag)
-    r.stack.append(_Frame(tag, loc, parent.entity))
 
 
 def _start_in_classes(r: _Reader, parent: _Frame, tag: str, attrs: dict):
@@ -577,37 +522,21 @@ def _start_in_local_variables(r: _Reader, parent: _Frame, tag: str, attrs: dict)
     r.skip = 1
 
 
-def _resolved(parent: _Frame, tag: str, attrs: dict, expected: str) -> bool:
-    """Check an AttributeAccess or MethodInvocation; its Resolved flag."""
-    resolved = _BOOLS.get(attrs.get("Resolved"))
-    if (
-        tag != expected
-        or resolved is None
-        or "Name" not in attrs
-        or not _ALLOWED_ATTRS[tag].issuperset(attrs)
-    ):
-        _validate(tag, attrs, f"{parent.location}/{expected}[{parent.count}]", expected)
-    return resolved
+def _start_relations(child: str, relation: type, into: str):
+    """The start handler of AttributeAccesses or MethodInvocations: each
+    child element becomes a relation, added to the method's list into."""
+    allowed = _ALLOWED_ATTRS[child]
 
-
-def _start_in_attribute_accesses(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    resolved = _resolved(parent, tag, attrs, "AttributeAccess")
-    parent.entity.accesses.append(
-        AccessRelation(
-            attrs["Name"], attrs.get("Receiver", ""), attrs.get("DeclaringClass", ""), resolved
+    def start(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+        resolved = _BOOLS.get(attrs.get("Resolved"))
+        if tag != child or resolved is None or "Name" not in attrs or not allowed.issuperset(attrs):
+            _validate(tag, attrs, f"{parent.location}/{child}[{parent.count}]", child)
+        getattr(parent.entity, into).append(
+            relation(attrs["Name"], attrs.get("Receiver", ""), attrs.get("DeclaringClass", ""), resolved)
         )
-    )
-    r.skip = 1
+        r.skip = 1
 
-
-def _start_in_method_invocations(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    resolved = _resolved(parent, tag, attrs, "MethodInvocation")
-    parent.entity.invocations.append(
-        InvocationRelation(
-            attrs["Name"], attrs.get("Receiver", ""), attrs.get("DeclaringClass", ""), resolved
-        )
-    )
-    r.skip = 1
+    return start
 
 
 def _start_in_method_exceptions(r: _Reader, parent: _Frame, tag: str, attrs: dict):
@@ -619,9 +548,9 @@ def _start_in_method_exceptions(r: _Reader, parent: _Frame, tag: str, attrs: dic
 
 _STARTS = {
     None: _start_root,
-    "Project": _start_in_project,
+    "Project": _start_only("Packages"),
     "Packages": _start_in_packages,
-    "Package": _start_in_package,
+    "Package": _start_only("Classes"),
     "Classes": _start_in_classes,
     "Class": _start_in_class,
     "SuperInterfaces": _start_in_super_interfaces,
@@ -630,8 +559,8 @@ _STARTS = {
     "Method": _start_in_method,
     "Parameters": _start_in_parameters,
     "LocalVariables": _start_in_local_variables,
-    "AttributeAccesses": _start_in_attribute_accesses,
-    "MethodInvocations": _start_in_method_invocations,
+    "AttributeAccesses": _start_relations("AttributeAccess", AccessRelation, "accesses"),
+    "MethodInvocations": _start_relations("MethodInvocation", InvocationRelation, "invocations"),
     "MethodExceptions": _start_in_method_exceptions,
 }
 

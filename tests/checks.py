@@ -1,4 +1,5 @@
-"""Independent model invariant checkers used by the unit and acceptance suites.
+"""Independent model invariant checkers, and a name lookup, used by the unit
+and acceptance suites.
 
 These walk the model from scratch on purpose; they must not reuse the
 library's own resolution bookkeeping.
@@ -7,8 +8,58 @@ library's own resolution bookkeeping.
 from __future__ import annotations
 
 import copy
+import re
 
-from oodoc.model import Project, class_qualified_name, resolve_references
+from oodoc.errors import InputError
+from oodoc.model import ClassEntity, Project, class_qualified_name, resolve_references
+
+# a dotted name: identifiers of ASCII letters, digits, "_" and "$" that do
+# not start with a digit, joined by dots
+_DOTTED_NAME = re.compile(r"[A-Za-z_$][\w$]*(?:\.[A-Za-z_$][\w$]*)*", re.ASCII)
+
+
+def lookup(project: Project, qualified_name: str):
+    """Find the package, class, attribute or method a dotted name denotes.
+
+    Attribute form: pkg.Class#name; method form: pkg.Class#name(type,...).
+    Returns None when nothing matches; malformed names raise InputError.
+    """
+    if not qualified_name:
+        raise InputError("empty qualified name")
+    if qualified_name.count("#") > 1:
+        raise InputError(f"malformed qualified name: {qualified_name!r}")
+    if "#" in qualified_name:
+        class_part, member = qualified_name.split("#", 1)
+        if not class_part or not member:
+            raise InputError(f"malformed qualified name: {qualified_name!r}")
+        cls = lookup(project, class_part)
+        if not isinstance(cls, ClassEntity):
+            return None
+        if "(" in member:
+            if not member.endswith(")"):
+                raise InputError(f"malformed method signature: {qualified_name!r}")
+            name, arglist = member[:-1].split("(", 1)
+            wanted = tuple(t.strip() for t in arglist.split(",")) if arglist else ()
+            for m in cls.methods:
+                if m.name == name and tuple(p.declared_type for p in m.parameters) == wanted:
+                    return m
+            return None
+        for a in cls.attributes:
+            if a.name == member:
+                return a
+        return None
+    if not _DOTTED_NAME.fullmatch(qualified_name):
+        raise InputError(f"malformed qualified name: {qualified_name!r}")
+    for pkg in project.packages:
+        if pkg.qualified_name == qualified_name:
+            return pkg
+    pkg_name, _, simple = qualified_name.rpartition(".")
+    for pkg in project.packages:
+        if pkg.qualified_name == pkg_name:
+            for cls in pkg.classes:
+                if cls.name == simple:
+                    return cls
+    return None
 
 
 def assert_containment_tree(project: Project):
@@ -64,3 +115,14 @@ def assert_resolution_idempotent(project: Project):
     frozen = copy.deepcopy(project)
     resolve_references(project)
     assert frozen == project, "resolve_references changed an already-resolved project"
+
+
+def assert_graph_well_formed(graph):
+    """Node ids are unique, and every edge joins two nodes of the graph."""
+    ids = [n.node_id for n in graph.nodes]
+    assert len(ids) == len(set(ids)), f"duplicate node ids in {graph.kind} document"
+    known = set(ids)
+    for e in graph.edges:
+        assert e.src in known and e.dst in known, (
+            f"dangling edge {e.src} -> {e.dst} in {graph.kind} document"
+        )

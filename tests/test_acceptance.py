@@ -17,7 +17,7 @@ from oodoc.documents import (
 from oodoc.dot import serialize_dot, validate_dot
 from oodoc.evaluation import extract_links, precision_recall
 from oodoc.metrics import class_metrics, project_metrics
-from oodoc.model import build_model, class_qualified_name, lookup, resolve_references
+from oodoc.model import build_model, class_qualified_name, resolve_references
 from oodoc.parsing import count_token_lines, parse_files, tokenize
 from oodoc.sources import scan_directory
 from oodoc.xmlio import parse_model, serialize_model
@@ -26,6 +26,7 @@ from checks import (
     assert_containment_tree,
     assert_referential_integrity,
     assert_resolution_idempotent,
+    lookup,
 )
 from conftest import CORE_ELEMENTS, CORE_FRAME, all_documents, load_fixture_project
 from genmodels import random_project, write_synthetic_corpus

@@ -15,8 +15,9 @@ from oodoc.documents import (
     iter_documents,
     merge_per_class_documents,
 )
-from oodoc.model import ClassEntity, Package, Project, class_qualified_name, lookup
+from oodoc.model import ClassEntity, Package, Project, class_qualified_name
 
+from checks import assert_graph_well_formed, lookup
 from conftest import CORE_ELEMENTS, CORE_FRAME, all_documents
 
 SHAPE = f"{CORE_FRAME}.MyShape"
@@ -47,7 +48,7 @@ def edge_set(graph, kind=None):
 
 def test_package_document_project_node(fixture_project):
     graph = gen_package_document(fixture_project)
-    graph.check()
+    assert_graph_well_formed(graph)
     project_node = node_by_id(graph, "project")
     fields = dict(project_node.fields)
     assert fields["NoM"] == "29"
@@ -86,7 +87,7 @@ def test_package_document_for_empty_project():
 
 def test_class_information_records(fixture_project):
     graph = gen_class_information_document(fixture_project)
-    graph.check()
+    assert_graph_well_formed(graph)
     frame = dict(node_by_title(graph, "DrawingShapes").fields)
     assert frame == {
         "Superclass": "JFrame",
@@ -114,7 +115,7 @@ def test_class_information_grouped_by_package(fixture_project):
 
 def test_class_dependency_internal_edges_exact(fixture_project):
     graph = gen_class_dependency_document(fixture_project)
-    graph.check()
+    assert_graph_well_formed(graph)
     internal = {
         (s, d) for s, d, k in edge_set(graph, "inherits")
         if not d.startswith("ext:")
@@ -145,7 +146,7 @@ def test_class_dependency_without_inheritance_has_no_edges():
 
 def test_class_content_rows(fixture_project):
     graph = gen_class_content_document(fixture_project)
-    graph.check()
+    assert_graph_well_formed(graph)
     panel = node_by_title(graph, "PaintJPanel")
     assert ("currentShape", "MyShape") in panel.fields
     assert ("setCurrentShapeType", "void") in panel.fields
@@ -172,7 +173,7 @@ def test_class_content_empty_class_has_header_only():
 def test_method_information_records(fixture_project):
     rect = lookup(fixture_project, f"{CORE_ELEMENTS}.MyRectangle")
     graph = gen_method_information_document(rect)
-    graph.check()
+    assert_graph_well_formed(graph)
     ctor = node_by_title(graph, "MyRectangle")
     fields = dict(ctor.fields)
     assert fields["NumberOfParameters"] == "5"
@@ -205,7 +206,7 @@ def test_method_information_parameterless():
 def test_method_content_rows(fixture_project):
     panel = lookup(fixture_project, PANEL)
     graph = gen_method_content_document(panel, fixture_project)
-    graph.check()
+    assert_graph_well_formed(graph)
     ctor = node_by_title(graph, "PaintJPanel")
     assert ("invocation", "addMouseListener (PaintJPanel)") in ctor.fields
     dragged = node_by_id(graph, "PaintJPanel#paintJPanelMouseDragged(MouseEvent)")
@@ -233,7 +234,7 @@ def test_method_content_local_row():
 
 def test_method_dependency_key_edges(fixture_project):
     graph = gen_method_dependency_document(fixture_project)
-    graph.check()
+    assert_graph_well_formed(graph)
     edges = edge_set(graph)
     assert (f"{PANEL}#paintComponent()", f"{SHAPE}#draw()", "invokes") in edges
     assert (
@@ -306,7 +307,7 @@ def test_merge_per_class_documents(fixture_project):
                 (class_qualified_name(pkg, cls), gen_method_information_document(cls))
             )
     merged = merge_per_class_documents("method-info", parts, fixture_project.name)
-    merged.check()
+    assert_graph_well_formed(merged)
     assert len(merged.nodes) == 29
     assert node_by_id(merged, f"{SHAPE}::MyShape#draw(Graphics)").group == SHAPE
 

@@ -10,9 +10,10 @@ from oodoc.metrics import (
     metrics_json,
     project_metrics,
 )
-from oodoc.model import ClassEntity, MethodEntity, Package, Project, lookup
+from oodoc.model import ClassEntity, MethodEntity, Package, Project
 from oodoc.xmlio import serialize_model
 
+from checks import lookup
 from conftest import CORE_ELEMENTS, CORE_FRAME
 from genmodels import random_project
 

@@ -12,7 +12,6 @@ from oodoc.model import (
     Package,
     build_model,
     class_qualified_name,
-    lookup,
     resolve_references,
 )
 from oodoc.parsing import count_token_lines, parse_file, tokenize
@@ -22,6 +21,7 @@ from checks import (
     assert_containment_tree,
     assert_referential_integrity,
     assert_resolution_idempotent,
+    lookup,
 )
 from conftest import CORE_ELEMENTS, CORE_FRAME, load_fixture_project
 

@@ -11,7 +11,19 @@ from hypothesis import strategies as st
 
 from oodoc import xmlio
 from oodoc.errors import ConsistencyError, InputError, SchemaError
-from oodoc.model import AttributeEntity, ClassEntity, Package, Project, collect_external_types
+from oodoc.model import (
+    AccessRelation,
+    AttributeEntity,
+    ClassEntity,
+    InvocationRelation,
+    LocalVariableEntity,
+    MethodEntity,
+    Package,
+    Parameter,
+    Project,
+    TypeRef,
+    collect_external_types,
+)
 from oodoc.xmlio import parse_model, serialize_model, write_model
 
 from conftest import CORE_ELEMENTS
@@ -24,6 +36,140 @@ def test_empty_project_document():
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<Project ProjectName="P" LinesOfCode="0">\n'
         "  <Packages/>\n"
+        "</Project>\n"
+    )
+
+
+def test_every_element_is_written_exactly():
+    """The writer's text for every element: each optional attribute present
+    and absent, 0, 1 and 2 super-interfaces, and each list empty and not."""
+    shape = ClassEntity(
+        "Shape",
+        superclass=TypeRef("a.b.Base", True),
+        super_interfaces=[TypeRef("java.io.Serializable")],
+        attributes=[
+            AttributeEntity("count", "int", "private", True),
+            AttributeEntity("names", "List<String>", "protected"),
+        ],
+        methods=[
+            MethodEntity(
+                "Shape", None, "public", is_constructor=True,
+                parameters=[Parameter("x", "int", 0), Parameter("label", "String", 1)],
+                local_variables=[LocalVariableEntity("tmp", "double")],
+                throws=["java.io.IOException"],
+                accesses=[
+                    AccessRelation("count", "this", "a.b.Shape", True),
+                    AccessRelation("size", "other"),
+                ],
+                invocations=[
+                    InvocationRelation("helper", "", "a.b.Shape", True),
+                    InvocationRelation("run", "task"),
+                ],
+            ),
+            MethodEntity("area", "double", "protected", is_static=True),
+        ],
+    )
+    drawable = ClassEntity(
+        "Drawable", "public", is_interface=True,
+        super_interfaces=[TypeRef("a.b.Named", True), TypeRef("Comparable")],
+        methods=[
+            MethodEntity(
+                "draw", "void", "public",
+                parameters=[Parameter("g", "Graphics", 0)],
+                throws=["IOException", "a.b.Failure"],
+            )
+        ],
+    )
+    project = Project(
+        name="Golden & <Co>",
+        loc=42,
+        packages=[
+            Package("a"),
+            Package("a.b", [
+                ClassEntity("Base", "public"),
+                shape,
+                drawable,
+                ClassEntity("Worker", superclass=TypeRef("Thread")),
+            ]),
+        ],
+    )
+    assert serialize_model(project) == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<Project ProjectName="Golden &amp; &lt;Co&gt;" LinesOfCode="42">\n'
+        "  <Packages>\n"
+        '    <Package PackageName="a">\n'
+        "      <Classes/>\n"
+        "    </Package>\n"
+        '    <Package PackageName="a.b">\n'
+        "      <Classes>\n"
+        '        <Class ClassName="Base" classAccessLevel="public" IsInterface="false">\n'
+        "          <SuperInterfaces/>\n"
+        "          <Attributes/>\n"
+        "          <Methods/>\n"
+        "        </Class>\n"
+        '        <Class ClassName="Shape" classAccessLevel="package-private" IsInterface="false" Superclass="a.b.Base" SuperclassInternal="true">\n'
+        '          <SuperInterfaces Name="java.io.Serializable" Internal="false"/>\n'
+        "          <Attributes>\n"
+        '            <Attribute Name="count" DeclaredType="int" AccessLevel="private" IsStatic="true"/>\n'
+        '            <Attribute Name="names" DeclaredType="List&lt;String&gt;" AccessLevel="protected" IsStatic="false"/>\n'
+        "          </Attributes>\n"
+        "          <Methods>\n"
+        '            <Method MethodName="Shape" MethodAccessLevel="public" IsStatic="false" IsConstructor="true">\n'
+        '              <Parameters NumberOfParameters="2">\n'
+        '                <Parameter Name="x" DeclaredType="int" Order="0"/>\n'
+        '                <Parameter Name="label" DeclaredType="String" Order="1"/>\n'
+        "              </Parameters>\n"
+        "              <LocalVariables>\n"
+        '                <LocalVariable Name="tmp" DeclaredType="double"/>\n'
+        "              </LocalVariables>\n"
+        "              <AttributeAccesses>\n"
+        '                <AttributeAccess Name="count" Receiver="this" DeclaringClass="a.b.Shape" Resolved="true"/>\n'
+        '                <AttributeAccess Name="size" Receiver="other" DeclaringClass="" Resolved="false"/>\n'
+        "              </AttributeAccesses>\n"
+        "              <MethodInvocations>\n"
+        '                <MethodInvocation Name="helper" Receiver="" DeclaringClass="a.b.Shape" Resolved="true"/>\n'
+        '                <MethodInvocation Name="run" Receiver="task" DeclaringClass="" Resolved="false"/>\n'
+        "              </MethodInvocations>\n"
+        "              <MethodExceptions>\n"
+        '                <MethodException Name="java.io.IOException"/>\n'
+        "              </MethodExceptions>\n"
+        "            </Method>\n"
+        '            <Method MethodName="area" MethodAccessLevel="protected" ReturnType="double" IsStatic="true" IsConstructor="false">\n'
+        '              <Parameters NumberOfParameters="0"/>\n'
+        "              <LocalVariables/>\n"
+        "              <AttributeAccesses/>\n"
+        "              <MethodInvocations/>\n"
+        "              <MethodExceptions/>\n"
+        "            </Method>\n"
+        "          </Methods>\n"
+        "        </Class>\n"
+        '        <Class ClassName="Drawable" classAccessLevel="public" IsInterface="true">\n'
+        '          <SuperInterfaces Name="a.b.Named" Internal="true"/>\n'
+        '          <SuperInterfaces Name="Comparable" Internal="false"/>\n'
+        "          <Attributes/>\n"
+        "          <Methods>\n"
+        '            <Method MethodName="draw" MethodAccessLevel="public" ReturnType="void" IsStatic="false" IsConstructor="false">\n'
+        '              <Parameters NumberOfParameters="1">\n'
+        '                <Parameter Name="g" DeclaredType="Graphics" Order="0"/>\n'
+        "              </Parameters>\n"
+        "              <LocalVariables/>\n"
+        "              <AttributeAccesses/>\n"
+        "              <MethodInvocations/>\n"
+        "              <MethodExceptions>\n"
+        '                <MethodException Name="IOException"/>\n'
+        '                <MethodException Name="a.b.Failure"/>\n'
+        "              </MethodExceptions>\n"
+        "            </Method>\n"
+        "          </Methods>\n"
+        "        </Class>\n"
+        '        <Class ClassName="Worker" classAccessLevel="package-private" IsInterface="false" Superclass="Thread" SuperclassInternal="false">\n'
+        "          <SuperInterfaces/>\n"
+        "          <Attributes/>\n"
+        "          <Methods/>\n"
+        "        </Class>\n"
+        "      </Classes>\n"
+        "    </Package>\n"
+        "  </Packages>\n"
         "</Project>\n"
     )
 
