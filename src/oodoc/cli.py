@@ -229,7 +229,7 @@ def _write_documents(project: Project, args, docs_dir: Path) -> list[Path]:
         for kind, document in iter_documents(project, order, args.include_unresolved):
             if kind not in PER_CLASS_KINDS or args.merge_method_docs:
                 if kind in PER_CLASS_KINDS:
-                    document = merge_per_class_documents(kind, document, project.name)
+                    document = merge_per_class_documents(kind, document)
                 path = docs_dir / f"{kind}.dot"
                 _write_file(path, serialize_dot(document).encode("utf-8"))
                 written[kind] = [path]

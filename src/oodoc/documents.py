@@ -47,7 +47,6 @@ class GraphEdge:
 @dataclass
 class DocumentGraph:
     kind: str
-    name: str
     nodes: list[GraphNode] = field(default_factory=list)
     edges: list[GraphEdge] = field(default_factory=list)
 
@@ -61,7 +60,7 @@ def _package_label(qname: str) -> str:
 
 
 def gen_package_document(project: Project) -> DocumentGraph:
-    graph = DocumentGraph("package", project.name)
+    graph = DocumentGraph("package")
     record = project_metrics(project)
     graph.nodes.append(
         GraphNode(
@@ -96,7 +95,7 @@ def gen_package_document(project: Project) -> DocumentGraph:
 
 
 def gen_class_information_document(project: Project) -> DocumentGraph:
-    graph = DocumentGraph("class-info", project.name)
+    graph = DocumentGraph("class-info")
     for pkg in project.packages:
         for cls in pkg.classes:
             noa, nom = class_metrics(cls)
@@ -120,7 +119,7 @@ def gen_class_information_document(project: Project) -> DocumentGraph:
 
 
 def gen_class_dependency_document(project: Project) -> DocumentGraph:
-    graph = DocumentGraph("class-dependency", project.name)
+    graph = DocumentGraph("class-dependency")
     externals: set[str] = set()
 
     def external_node(name: str) -> str:
@@ -155,7 +154,7 @@ def gen_class_dependency_document(project: Project) -> DocumentGraph:
 
 
 def gen_class_content_document(project: Project) -> DocumentGraph:
-    graph = DocumentGraph("class-content", project.name)
+    graph = DocumentGraph("class-content")
     for pkg in project.packages:
         for cls in pkg.classes:
             rows = [(a.name, a.declared_type) for a in cls.attributes]
@@ -173,7 +172,7 @@ def gen_class_content_document(project: Project) -> DocumentGraph:
 
 
 def gen_method_information_document(cls: ClassEntity) -> DocumentGraph:
-    graph = DocumentGraph("method-info", cls.name)
+    graph = DocumentGraph("method-info")
     for m in cls.methods:
         fields = [
             ("ReturnType", m.return_type if m.return_type is not None else "-"),
@@ -209,7 +208,7 @@ def gen_method_content_document(
     # documenting every class stays linear in the number of classes
     if _index is None:
         _index = _class_index(project) if project is not None else {}
-    graph = DocumentGraph("method-content", cls.name)
+    graph = DocumentGraph("method-content")
     for m in cls.methods:
         fields: list[tuple[str, str]] = []
         for v in m.local_variables:
@@ -248,7 +247,7 @@ def gen_method_dependency_document(
     only when they take part in at least one edge, and methods are keyed by
     name (overloads share a node, matching the name-labeled edges of the
     document)."""
-    graph = DocumentGraph("method-dependency", project.name)
+    graph = DocumentGraph("method-dependency")
     simple_of: dict[str, str] = {}
     for pkg in project.packages:
         for cls in pkg.classes:
@@ -256,26 +255,12 @@ def gen_method_dependency_document(
     nodes: dict[str, GraphNode] = {}
     edges: dict[tuple[str, str, str], GraphEdge] = {}
 
-    def method_node(owner_qname: str, name: str, external: bool = False) -> str:
-        node_id = f"{owner_qname}#{name}()"
+    def node(owner_qname: str, name: str, suffix: str, kind: str) -> str:
+        """The node of a method (suffix "()") or an attribute (suffix "")."""
+        node_id = f"{owner_qname}#{name}{suffix}"
         if node_id not in nodes:
             display = simple_of.get(owner_qname, owner_qname.rsplit(".", 1)[-1] or "?")
-            nodes[node_id] = GraphNode(
-                node_id=node_id,
-                title=f"{display}.{name}",
-                kind="external" if external else "method",
-            )
-        return node_id
-
-    def attribute_node(owner_qname: str, name: str, external: bool = False) -> str:
-        node_id = f"{owner_qname}#{name}"
-        if node_id not in nodes:
-            display = simple_of.get(owner_qname, owner_qname.rsplit(".", 1)[-1] or "?")
-            nodes[node_id] = GraphNode(
-                node_id=node_id,
-                title=f"{display}.{name}",
-                kind="external" if external else "attribute",
-            )
+            nodes[node_id] = GraphNode(node_id=node_id, title=f"{display}.{name}", kind=kind)
         return node_id
 
     for pkg in project.packages:
@@ -284,24 +269,24 @@ def gen_method_dependency_document(
             for m in cls.methods:
                 for inv in m.invocations:
                     if inv.resolved:
-                        dst = method_node(inv.declaring_class, inv.method_name)
+                        dst = node(inv.declaring_class, inv.method_name, "()", "method")
                     elif include_unresolved:
                         owner = f"ext:{inv.declaring_class or '?'}"
-                        dst = method_node(owner, inv.method_name, external=True)
+                        dst = node(owner, inv.method_name, "()", "external")
                     else:
                         continue
-                    src = method_node(qname, m.name)
+                    src = node(qname, m.name, "()", "method")
                     if src != dst:
                         edges.setdefault((src, dst, "invokes"), GraphEdge(src, dst, "invokes"))
                 for acc in m.accesses:
                     if acc.resolved:
-                        dst = attribute_node(acc.declaring_class, acc.attribute_name)
+                        dst = node(acc.declaring_class, acc.attribute_name, "", "attribute")
                     elif include_unresolved:
                         owner = f"ext:{acc.declaring_class or '?'}"
-                        dst = attribute_node(owner, acc.attribute_name, external=True)
+                        dst = node(owner, acc.attribute_name, "", "external")
                     else:
                         continue
-                    src = method_node(qname, m.name)
+                    src = node(qname, m.name, "()", "method")
                     edges.setdefault((src, dst, "accesses"), GraphEdge(src, dst, "accesses"))
     # drop nodes that ended up with no incident edge (created for self-loops)
     used: set[str] = set()
@@ -314,10 +299,10 @@ def gen_method_dependency_document(
 
 
 def merge_per_class_documents(
-    kind: str, parts: Iterable[tuple[str, DocumentGraph]], name: str
+    kind: str, parts: Iterable[tuple[str, DocumentGraph]]
 ) -> DocumentGraph:
     """Combine per-class documents into one file, one qualifier per class."""
-    merged = DocumentGraph(kind, name)
+    merged = DocumentGraph(kind)
     for qualifier, part in parts:
         mapping = {n.node_id: f"{qualifier}::{n.node_id}" for n in part.nodes}
         for node in part.nodes:

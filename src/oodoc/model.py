@@ -114,7 +114,6 @@ class Project:
     name: str
     packages: list[Package] = field(default_factory=list)
     loc: int = 0
-    external_types: list[str] = field(default_factory=list)
 
 
 def class_qualified_name(package: Package, cls: ClassEntity) -> str:
@@ -188,40 +187,37 @@ class _Resolver:
     def __init__(self, project: Project):
         self.project = project
         self.by_qualified: dict[str, ClassEntity] = {}
+        self.qname_of: dict[int, str] = {}
         self.package_of: dict[int, str] = {}
         self.by_simple: dict[str, list[str]] = {}
         for pkg in project.packages:
             for cls in pkg.classes:
                 qname = class_qualified_name(pkg, cls)
                 self.by_qualified[qname] = cls
+                self.qname_of[id(cls)] = qname
                 self.package_of[id(cls)] = pkg.qualified_name
                 self.by_simple.setdefault(cls.name, []).append(qname)
 
     def run(self):
+        # every supertype first: the member search follows internal ones
         for pkg in self.project.packages:
             for cls in pkg.classes:
-                self._resolve_supertypes(pkg, cls)
+                supertypes = [cls.superclass] if cls.superclass is not None else []
+                for ref in supertypes + cls.super_interfaces:
+                    qname = self._find_class(ref.name, cls)
+                    ref.internal = qname is not None
+                    if qname is not None:
+                        ref.name = qname
         for pkg in self.project.packages:
             for cls in pkg.classes:
                 for method in cls.methods:
                     self._resolve_method(cls, method)
-        self.project.external_types = collect_external_types(self.project)
-
-    # -- type names ------------------------------------------------------
-
-    def _resolve_type_ref(self, ref: TypeRef, cls: ClassEntity):
-        qname = self._find_class(ref.name, cls)
-        if qname is not None:
-            ref.name = qname
-            ref.internal = True
-        else:
-            ref.internal = False
 
     def _find_class(self, written: str, context_cls: ClassEntity) -> str | None:
         """Map a written type name onto an internal qualified name, or None."""
         if "." in written:
             return written if written in self.by_qualified else None
-        pkg = self.package_of.get(id(context_cls), "")
+        pkg = self.package_of[id(context_cls)]
         candidate = f"{pkg}.{written}" if pkg else written
         if candidate in self.by_qualified:
             return candidate
@@ -237,161 +233,75 @@ class _Resolver:
             return matches[0]
         return None
 
-    def _resolve_supertypes(self, pkg: Package, cls: ClassEntity):
-        if cls.superclass is not None:
-            self._resolve_type_ref(cls.superclass, cls)
-        for ref in cls.super_interfaces:
-            self._resolve_type_ref(ref, cls)
-
-    # -- member search ---------------------------------------------------
-
-    def _class_chain(self, cls: ClassEntity):
-        """Yield (class, qualified name) for cls, its internal superclass
-        chain, then internal super-interfaces, breadth first."""
-        start = self._qname_of(cls)
-        if start is None:
-            return
+    def _find_member(self, start: str, name: str, kind: str):
+        """Find the member called name among the kind ("methods" or
+        "attributes") of the internal class start, its internal superclass
+        chain, then its internal super-interfaces, breadth first. Return
+        (member, qualified name of its class), or (None, None)."""
         queue = [start]
         seen: set[str] = set()
-        while queue:
-            qname = queue.pop(0)
-            if qname in seen or qname not in self.by_qualified:
+        for qname in queue:
+            if qname in seen:
                 continue
             seen.add(qname)
             entity = self.by_qualified[qname]
-            yield entity, qname
+            for member in getattr(entity, kind):
+                if member.name == name:
+                    return member, qname
             if entity.superclass is not None and entity.superclass.internal:
                 queue.append(entity.superclass.name)
-            for ref in entity.super_interfaces:
-                if ref.internal:
-                    queue.append(ref.name)
+            queue.extend(ref.name for ref in entity.super_interfaces if ref.internal)
+        return None, None
 
-    def _qname_of(self, cls: ClassEntity) -> str | None:
-        pkg = self.package_of.get(id(cls))
-        if pkg is None:
-            return None
-        return f"{pkg}.{cls.name}" if pkg else cls.name
-
-    def _find_method(self, cls: ClassEntity, name: str) -> str | None:
-        for entity, qname in self._class_chain(cls):
-            for m in entity.methods:
-                if m.name == name:
-                    return qname
-        return None
-
-    def _find_attribute(self, cls: ClassEntity, name: str):
-        for entity, qname in self._class_chain(cls):
-            for a in entity.attributes:
-                if a.name == name:
-                    return a, entity, qname
-        return None
-
-    # -- receivers ---------------------------------------------------------
-
-    def _declared_type_target(self, type_text: str, context_cls: ClassEntity):
-        if type_text.endswith("[]"):
-            return ("external", type_text)
-        qname = self._find_class(type_text, context_cls)
-        if qname is not None:
-            return ("internal", qname)
-        return ("external", type_text)
+    def _type_of(self, type_text: str, context_cls: ClassEntity):
+        """(internal qualified name or None, name to record) of a type as
+        written in context_cls; an array type is external."""
+        qname = None if type_text.endswith("[]") else self._find_class(type_text, context_cls)
+        return (qname, qname) if qname is not None else (None, type_text)
 
     def _receiver_target(self, receiver: str, cls: ClassEntity, method: MethodEntity):
-        """Classify a receiver expression: ("internal", qname) when the
-        receiver's declared type is an analyzed class, ("external", name)
-        when a type name is known but lives outside the model, and
-        ("unknown", "") when static lookup cannot determine a type."""
+        """Type a receiver expression: (qualified name, qualified name) when
+        its static type is an analyzed class, (None, type name) when the type
+        lives outside the model, and (None, "") when static lookup cannot
+        determine a type."""
         if receiver in ("", "this"):
-            qname = self._qname_of(cls)
-            return ("internal", qname) if qname else ("unknown", "")
+            qname = self.qname_of[id(cls)]
+            return qname, qname
         if receiver == "super":
             if cls.superclass is None:
-                return ("unknown", "")
-            if cls.superclass.internal:
-                return ("internal", cls.superclass.name)
-            return ("external", cls.superclass.name)
-        if receiver.startswith("this.") or receiver.startswith("super."):
-            rest = receiver.split(".", 1)[1]
-            if "." not in rest and _is_dotted_name(rest):
-                found = self._find_attribute(cls, rest)
-                if found is not None:
-                    attr, owner, _ = found
-                    return self._declared_type_target(attr.declared_type, owner)
-            return ("unknown", "")
-        if _is_dotted_name(receiver) and "." not in receiver:
-            for local in method.local_variables:
-                if local.name == receiver:
-                    return self._declared_type_target(local.declared_type, cls)
-            for param in method.parameters:
-                if param.name == receiver:
-                    return self._declared_type_target(param.declared_type, cls)
-            found = self._find_attribute(cls, receiver)
-            if found is not None:
-                attr, owner, _ = found
-                return self._declared_type_target(attr.declared_type, owner)
-            return self._declared_type_target(receiver, cls)
-        if _is_dotted_name(receiver):
-            qname = self._find_class(receiver, cls)
-            if qname is not None:
-                return ("internal", qname)
-            return ("external", receiver)
-        return ("unknown", "")
+                return None, ""
+            return (cls.superclass.name if cls.superclass.internal else None), cls.superclass.name
+        if receiver.startswith(("this.", "super.")):
+            # this.a searches from the class, super.a from its internal superclass
+            head, rest = receiver.split(".", 1)
+            start = self._receiver_target(head, cls, method)[0]
+            if start is not None and "." not in rest and _is_dotted_name(rest):
+                attr, owner = self._find_member(start, rest, "attributes")
+                if attr is not None:
+                    return self._type_of(attr.declared_type, self.by_qualified[owner])
+            return None, ""
+        if not _is_dotted_name(receiver):
+            return None, ""
+        if "." not in receiver:
+            for variable in (*method.local_variables, *method.parameters):
+                if variable.name == receiver:
+                    return self._type_of(variable.declared_type, cls)
+            attr, owner = self._find_member(self.qname_of[id(cls)], receiver, "attributes")
+            if attr is not None:
+                return self._type_of(attr.declared_type, self.by_qualified[owner])
+        return self._type_of(receiver, cls)
 
     def _resolve_method(self, cls: ClassEntity, method: MethodEntity):
-        for inv in method.invocations:
-            kind, target = self._receiver_target(inv.receiver, cls, method)
-            if kind == "internal":
-                owner = self._find_method(self.by_qualified[target], inv.method_name)
-                if owner is not None:
-                    inv.declaring_class = owner
-                    inv.resolved = True
-                else:
-                    inv.declaring_class = target
-                    inv.resolved = False
-            else:
-                inv.declaring_class = target
-                inv.resolved = False
-        for acc in method.accesses:
-            kind, target = self._receiver_target(acc.receiver, cls, method)
-            if kind == "internal":
-                found = self._find_attribute(self.by_qualified[target], acc.attribute_name)
-                if found is not None:
-                    acc.declaring_class = found[2]
-                    acc.resolved = True
-                else:
-                    acc.declaring_class = target
-                    acc.resolved = False
-            else:
-                acc.declaring_class = target
-                acc.resolved = False
+        relations = [(inv, inv.method_name, "methods") for inv in method.invocations]
+        relations += [(acc, acc.attribute_name, "attributes") for acc in method.accesses]
+        for relation, member_name, kind in relations:
+            target, recorded = self._receiver_target(relation.receiver, cls, method)
+            owner = None if target is None else self._find_member(target, member_name, kind)[1]
+            relation.declaring_class = recorded if owner is None else owner
+            relation.resolved = owner is not None
 
 
 def resolve_references(project: Project) -> Project:
     """Resolve supertypes and relations in place; safe to run repeatedly."""
     _Resolver(project).run()
     return project
-
-
-def collect_external_types(project: Project) -> list[str]:
-    """Supertype and declaring-class names that live outside the model."""
-    internal = {
-        class_qualified_name(pkg, cls)
-        for pkg in project.packages
-        for cls in pkg.classes
-    }
-    names: set[str] = set()
-    for pkg in project.packages:
-        for cls in pkg.classes:
-            if cls.superclass is not None and not cls.superclass.internal:
-                names.add(cls.superclass.name)
-            for ref in cls.super_interfaces:
-                if not ref.internal:
-                    names.add(ref.name)
-            for method in cls.methods:
-                for inv in method.invocations:
-                    if inv.declaring_class and inv.declaring_class not in internal:
-                        names.add(inv.declaring_class)
-                for acc in method.accesses:
-                    if acc.declaring_class and acc.declaring_class not in internal:
-                        names.add(acc.declaring_class)
-    return sorted(names)

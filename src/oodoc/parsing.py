@@ -478,23 +478,27 @@ class _Parser:
         )
         parameters = method.parameters
         self.expect("(")
-        if not self.at(")"):
-            while True:
-                # before the type too, so that "f(... x)" costs the method only
-                if self.at("..."):
-                    raise _Unsupported(self.peek().line, f"varargs are not supported; method {name} skipped")
-                try:
-                    ptype = self._parse_type_use()
-                except _Unsupported:
-                    raise _Unsupported(self.peek().line, f"unsupported parameter type; method {name} skipped")
-                if self.at("..."):
-                    raise _Unsupported(self.peek().line, f"varargs are not supported; method {name} skipped")
-                pname = self.expect_ident().text
-                parameters.append(Parameter(pname, ptype + self._array_suffix(), len(parameters)))
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
+        try:
+            if not self.at(")"):
+                while True:
+                    # before the type too, so that "f(... x)" costs the method only
+                    if self.at("..."):
+                        raise _Unsupported(self.peek().line, f"varargs are not supported; method {name} skipped")
+                    try:
+                        ptype = self._parse_type_use()
+                    except _Unsupported:
+                        raise _Unsupported(self.peek().line, f"unsupported parameter type; method {name} skipped")
+                    if self.at("..."):
+                        raise _Unsupported(self.peek().line, f"varargs are not supported; method {name} skipped")
+                    pname = self.expect_ident().text
+                    parameters.append(Parameter(pname, ptype + self._array_suffix(), len(parameters)))
+                    if self.at(","):
+                        self.advance()
+                        continue
+                    break
+        except _Unsupported:
+            self._skip_parameter_list()
+            raise
         self.expect(")")
         if self.at("throws"):
             self.advance()
@@ -854,6 +858,24 @@ class _Parser:
                     depth -= 1
                     if depth == 0:
                         return
+
+    def _skip_parameter_list(self):
+        """After a bad parameter: past the ')' that closes the list, counting
+        nested parentheses, or up to a '{' or ';' directly in the list."""
+        depth = 0
+        while not self.at_kind("eof"):
+            tok = self.peek()
+            if tok.kind == "punct":
+                if tok.text in ("{", ";") and depth == 0:
+                    return
+                if tok.text == "(":
+                    depth += 1
+                elif tok.text == ")":
+                    if depth == 0:
+                        self.advance()
+                        return
+                    depth -= 1
+            self.advance()
 
     def _skip_declaration(self):
         """Consume a declaration we chose not to model: through its block or ';'."""

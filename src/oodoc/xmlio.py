@@ -36,7 +36,6 @@ from .model import (
     Parameter,
     Project,
     TypeRef,
-    collect_external_types,
 )
 
 _XML_HEADER = '<?xml version="1.0" encoding="UTF-8"?>'
@@ -633,6 +632,4 @@ def parse_model(text: str) -> Project:
         parser.Parse("", True)
     except expat.ExpatError as exc:
         raise SchemaError("document", f"not well-formed XML: {exc}") from exc
-    project = reader.document.entity
-    project.external_types = collect_external_types(project)
-    return project
+    return reader.document.entity

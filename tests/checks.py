@@ -1,5 +1,5 @@
-"""Independent model invariant checkers, and a name lookup, used by the unit
-and acceptance suites.
+"""Independent model invariant checkers, a name lookup and the external
+type names of a model, used by the unit and acceptance suites.
 
 These walk the model from scratch on purpose; they must not reuse the
 library's own resolution bookkeeping.
@@ -60,6 +60,28 @@ def lookup(project: Project, qualified_name: str):
                 if cls.name == simple:
                     return cls
     return None
+
+
+def collect_external_types(project: Project) -> list[str]:
+    """Supertype and declaring-class names that live outside the model."""
+    internal = {
+        class_qualified_name(pkg, cls)
+        for pkg in project.packages
+        for cls in pkg.classes
+    }
+    names: set[str] = set()
+    for pkg in project.packages:
+        for cls in pkg.classes:
+            if cls.superclass is not None and not cls.superclass.internal:
+                names.add(cls.superclass.name)
+            for ref in cls.super_interfaces:
+                if not ref.internal:
+                    names.add(ref.name)
+            for method in cls.methods:
+                for relation in (*method.invocations, *method.accesses):
+                    if relation.declaring_class and relation.declaring_class not in internal:
+                        names.add(relation.declaring_class)
+    return sorted(names)
 
 
 def assert_containment_tree(project: Project):

@@ -16,7 +16,6 @@ from oodoc.model import (
     Parameter,
     Project,
     TypeRef,
-    collect_external_types,
 )
 
 _TYPES = ("int", "boolean", "String", "Color", "double", "int[]", "String[]")
@@ -51,7 +50,6 @@ def random_project(rng: random.Random) -> Project:
             pkg.classes.append(_random_class(rng, cname))
         project.packages.append(pkg)
     project.packages.sort(key=lambda p: p.qualified_name)
-    project.external_types = collect_external_types(project)
     return project
 
 

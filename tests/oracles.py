@@ -23,7 +23,6 @@ from oodoc.model import (
     Parameter,
     Project,
     TypeRef,
-    collect_external_types,
 )
 
 
@@ -217,7 +216,6 @@ def reference_parse_model(text: str) -> Project:
         ploc = f"{loc}/Packages/Package[{i}]"
         _check(pkg_elem, ploc, expected="Package")
         project.packages.append(_parse_package(pkg_elem, ploc))
-    project.external_types = collect_external_types(project)
     return project
 
 

@@ -306,7 +306,7 @@ def test_merge_per_class_documents(fixture_project):
             parts.append(
                 (class_qualified_name(pkg, cls), gen_method_information_document(cls))
             )
-    merged = merge_per_class_documents("method-info", parts, fixture_project.name)
+    merged = merge_per_class_documents("method-info", parts)
     assert_graph_well_formed(merged)
     assert len(merged.nodes) == 29
     assert node_by_id(merged, f"{SHAPE}::MyShape#draw(Graphics)").group == SHAPE

@@ -20,7 +20,7 @@ SHAPE = f"{CORE_FRAME}.MyShape"
 
 
 def test_single_node_graph_shape():
-    graph = DocumentGraph("class-info", "demo")
+    graph = DocumentGraph("class-info")
     graph.nodes.append(GraphNode(node_id="only", title="Only", fields=[("NoA", "0")]))
     text = serialize_dot(graph)
     assert text.startswith('digraph "class-info" {')
@@ -32,7 +32,7 @@ def test_single_node_graph_shape():
 
 
 def test_edge_styles_distinct():
-    graph = DocumentGraph("class-dependency", "demo")
+    graph = DocumentGraph("class-dependency")
     for ident in ("a", "b", "c", "d"):
         graph.nodes.append(GraphNode(node_id=ident, title=ident))
     graph.edges.append(GraphEdge("a", "b", "inherits"))
@@ -45,7 +45,7 @@ def test_edge_styles_distinct():
 
 
 def test_output_is_deterministic_and_edges_sorted():
-    graph = DocumentGraph("package", "demo")
+    graph = DocumentGraph("package")
     graph.nodes.append(GraphNode(node_id="z", title="z"))
     graph.nodes.append(GraphNode(node_id="a", title="a"))
     graph.edges.append(GraphEdge("z", "a", "contains"))
@@ -56,7 +56,7 @@ def test_output_is_deterministic_and_edges_sorted():
 
 
 def test_record_specials_are_escaped():
-    graph = DocumentGraph("class-content", "demo")
+    graph = DocumentGraph("class-content")
     graph.nodes.append(
         GraphNode(node_id="weird", title="A|B", fields=[("x{y}", '<"v">')])
     )
@@ -66,7 +66,7 @@ def test_record_specials_are_escaped():
 
 
 def test_groups_become_clusters():
-    graph = DocumentGraph("class-info", "demo")
+    graph = DocumentGraph("class-info")
     graph.nodes.append(GraphNode(node_id="a", title="A", group="p.one"))
     graph.nodes.append(GraphNode(node_id="b", title="B", group="p.two"))
     text = serialize_dot(graph)

@@ -21,6 +21,7 @@ from checks import (
     assert_containment_tree,
     assert_referential_integrity,
     assert_resolution_idempotent,
+    collect_external_types,
     lookup,
 )
 from conftest import CORE_ELEMENTS, CORE_FRAME, load_fixture_project
@@ -217,10 +218,11 @@ def test_model_invariants_hold_on_fixture(fixture_project):
 
 
 def test_external_types_include_framework_supertypes(fixture_project):
-    assert "JFrame" in fixture_project.external_types
-    assert "JPanel" in fixture_project.external_types
+    external = collect_external_types(fixture_project)
+    assert "JFrame" in external
+    assert "JPanel" in external
     # internal qualified names never show up as externals
-    assert all(not name.startswith("Drawing.") for name in fixture_project.external_types)
+    assert all(not name.startswith("Drawing.") for name in external)
 
 
 def test_lookup_forms(fixture_project):
@@ -298,3 +300,75 @@ def test_wildcard_import_resolves():
 
 def test_fresh_build_twice_is_structurally_equal():
     assert load_fixture_project() == load_fixture_project()
+
+
+# One project for every receiver branch. Sub's own h is an Other, Base's is a
+# Helper; Ext's superclass is external and Root has none, and both hold an h.
+_RECEIVER_SOURCES = (
+    "package p; public class Helper { int n; Helper x; void go() { } }",
+    "package p; public class Other { void stop() { } }",
+    "package p; public interface Named { Other named = null; }",
+    "package p; public class Base { Helper h; Helper inherited; void up() { } }",
+    "package p; public class Sub extends Base implements Named { Other h;"
+    " void run(Helper hp, Helper s) {"
+    " Helper loc = null; Other s = null; Helper[] arr = null;"
+    " up(); this.up(); super.up(); this.h.stop(); super.h.go(); this.h.x.go();"
+    " loc.go(); hp.go(); s.stop(); inherited.go(); named.stop();"
+    " Helper.go(); p.Helper.go(); arr.go(); make().go(); (loc).go();"
+    " hp.n = 1; int k = inherited.n; } }",
+    "package p; import javax.swing.JPanel; class Ext extends JPanel { Helper h;"
+    " void m() { super.repaint(); super.h.go(); } }",
+    "package p; class Root { Helper h; void m() { super.go(); super.h.go(); } }",
+)
+
+# (class, relation kind, receiver, member name, DeclaringClass, Resolved)
+_RECEIVER_ROWS = [
+    ("Sub", "invocation", "", "up", "p.Base", True),
+    ("Sub", "invocation", "", "make", "p.Sub", False),
+    ("Sub", "invocation", "this", "up", "p.Base", True),
+    ("Sub", "invocation", "super", "up", "p.Base", True),
+    ("Ext", "invocation", "super", "repaint", "JPanel", False),
+    ("Root", "invocation", "super", "go", "", False),
+    ("Sub", "invocation", "this.h", "stop", "p.Other", True),
+    ("Sub", "invocation", "super.h", "go", "p.Helper", True),
+    ("Ext", "invocation", "super.h", "go", "", False),
+    ("Root", "invocation", "super.h", "go", "", False),
+    ("Sub", "invocation", "this.h.x", "go", "", False),
+    ("Sub", "invocation", "loc", "go", "p.Helper", True),
+    ("Sub", "invocation", "hp", "go", "p.Helper", True),
+    ("Sub", "invocation", "s", "stop", "p.Other", True),
+    ("Sub", "invocation", "inherited", "go", "p.Helper", True),
+    ("Sub", "invocation", "named", "stop", "p.Other", True),
+    ("Sub", "invocation", "Helper", "go", "p.Helper", True),
+    ("Sub", "invocation", "p.Helper", "go", "p.Helper", True),
+    ("Sub", "invocation", "arr", "go", "Helper[]", False),
+    ("Sub", "invocation", "make()", "go", "", False),
+    ("Sub", "invocation", "(...)", "go", "", False),
+    ("Sub", "access", "hp", "n", "p.Helper", True),
+    ("Sub", "access", "inherited", "n", "p.Helper", True),
+]
+
+
+@pytest.fixture(scope="module")
+def receiver_project():
+    project = resolve_references(build_from_texts(*_RECEIVER_SOURCES))
+    assert_referential_integrity(project)
+    return project
+
+
+@pytest.mark.parametrize(
+    "class_name, kind, receiver, member, declaring_class, resolved",
+    _RECEIVER_ROWS,
+    ids=[f"{row[0]}:{row[2] or 'bare'}.{row[3]}" for row in _RECEIVER_ROWS],
+)
+def test_each_receiver_branch(receiver_project, class_name, kind, receiver, member,
+                              declaring_class, resolved):
+    cls = lookup(receiver_project, f"p.{class_name}")
+    relations = [
+        (r.declaring_class, r.resolved)
+        for m in cls.methods
+        for r in (m.invocations if kind == "invocation" else m.accesses)
+        if r.receiver == receiver
+        and (r.method_name if kind == "invocation" else r.attribute_name) == member
+    ]
+    assert relations == [(declaring_class, resolved)]

@@ -449,6 +449,26 @@ def test_arrow_switch_costs_the_switch_only():
         (3, "unsupported construct (arrow case label); statement skipped")]
 
 
+def test_failed_parameter_list_costs_its_method_only():
+    # f's list holds a '{' and a ')' inside an annotation; bad's list has no ')'
+    text = (
+        "class C {\n"
+        "  void f(List<@N({1}) String> xs) { g(); }\n"
+        "  void bad(List<String> a { }\n"
+        "  void ok() { }\n"
+        "  void g() { h(); }\n"
+        "}\n"
+    )
+    tree = parse_text(text)
+    cls = find_class(tree, "C")
+    assert [m.name for m in cls.methods] == ["ok", "g"]
+    assert invocations_of(cls.methods[1]) == [("h", "")]
+    assert [(w.line, w.message) for w in tree.warnings] == [
+        (2, "unsupported parameter type; method f skipped"),
+        (3, "unsupported parameter type; method bad skipped"),
+    ]
+
+
 def test_receiver_text_of_each_primary():
     tree = parse_text(
         'class C { void m() { (a + b).c(); xs[i + 1].go(); new T(a).go(); "s".length();'

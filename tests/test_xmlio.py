@@ -22,10 +22,10 @@ from oodoc.model import (
     Parameter,
     Project,
     TypeRef,
-    collect_external_types,
 )
 from oodoc.xmlio import parse_model, serialize_model, write_model
 
+from checks import collect_external_types
 from conftest import CORE_ELEMENTS
 from genmodels import random_project
 
@@ -332,7 +332,7 @@ def test_hand_written_minimal_document():
     assert cls.name == "A"
     assert cls.superclass.name == "Base" and not cls.superclass.internal
     assert cls.attributes[0].declared_type == "int"
-    assert "Base" in project.external_types
+    assert "Base" in collect_external_types(project)
 
 
 def test_unknown_element_is_schema_error():
@@ -427,10 +427,10 @@ _NAMES = st.one_of(
 
 def _rename(entity, names):
     """Every name in entity and in what it holds, drawn from names; access
-    levels stay, and external types are derived."""
+    levels stay."""
     for f in dataclasses.fields(entity):
         value = getattr(entity, f.name)
-        if f.name in ("access_level", "external_types") or not f.compare:
+        if f.name == "access_level" or not f.compare:
             continue
         if isinstance(value, str):
             setattr(entity, f.name, names())
@@ -456,7 +456,6 @@ def test_any_names_round_trip_or_are_refused(project_seed, pool):
         return used[-1]
 
     _rename(project, names)
-    project.external_types = collect_external_types(project)
     refused = any(_NOT_XML_CHAR.search(name) for name in used)
     try:
         doc = serialize_model(project)
