@@ -9,12 +9,25 @@ interface declarations, attributes (multiple declarators per statement),
 constructors, methods with parameter lists and throws clauses, and method
 bodies made of local variable declarations, assignments, call expressions,
 field accesses and the if/else, for, while, switch, return and block
-statements. A construct outside the subset costs the smallest of five
-units that holds it, with one warning: a top-level declaration (an enum, a
-generic type), a member (a nested type, type arguments, varargs), an
-attribute initializer (the attribute stays), a for header (the body is
-still parsed) or a statement (a switch with an arrow case label is
-skipped whole).
+statements. Parameters and locals may be final, and members may carry the
+flags static, final, abstract, transient, volatile, native and
+synchronized. An annotation on a declaration, a member or a parameter costs
+itself and a warning. Any other construct outside the subset costs the
+smallest of five units that holds it, with one warning: a top-level
+declaration (an enum, a generic type), a member (a nested type, an
+initializer block, type arguments, varargs), an attribute initializer (the
+attribute stays), a for header (the body is still parsed) or a statement (a
+switch with an arrow case label is skipped whole).
+
+Every skip is _Parser._skip, which matches (), [] and {} together. A
+statement is skipped from its first token, a declaration or a member from
+where its parse stopped, through a ';' or through a { } block that nothing
+goes on from: an else, catch or finally clause, a selector or a ';' after
+the block goes on. An initializer is skipped up to its ',' or ';'; when its
+';' is missing, the skip ends after such a block and so does the
+declaration. A for header is skipped through its ')', a failed parameter
+list up to its ')' or a '{'. Inside a statement, a '(' or '[' that never
+closes makes the skip run to the end of the enclosing block.
 Structural damage (unbalanced braces, malformed declaration headers) aborts
 the file with a ParseFailure.
 """
@@ -41,11 +54,14 @@ if TYPE_CHECKING:
     from .sources import SourceFile
 
 _ACCESS_MODIFIERS = ("public", "protected", "private")
-_MEMBER_FLAGS = ("static", "final", "abstract")
+_MEMBER_FLAGS = ("static", "final", "abstract", "transient", "volatile", "native", "synchronized")
 # statements we recognise well enough to refuse politely
 _UNSUPPORTED_STATEMENT_KEYWORDS = {
     "do", "try", "catch", "finally", "throw", "synchronized", "assert",
 }
+# brackets, for recovery: a closer also closes the weaker ones open inside it
+_STRENGTH = {"[": 0, "(": 1, "{": 2}
+_OPENER_OF = {"]": "[", ")": "(", "}": "{"}
 # binary operator -> precedence level, loosest first
 _BINARY_LEVELS = {
     "||": 0,
@@ -283,7 +299,7 @@ class _Parser:
             self.advance()
             if self.at("static"):
                 self.warn("static imports are not supported; import skipped", line)
-                self._skip_to_semicolon()
+                self._skip("statement")
                 continue
             name = self._dotted_name(allow_star=True)
             self.expect(";")
@@ -295,7 +311,7 @@ class _Parser:
                 classes.append(self._parse_type_decl(imports))
             except _Unsupported as exc:
                 self.warn(exc.what, exc.line)
-                self._skip_declaration()
+                self._skip("statement")
         return FileSyntaxTree(self.path, package_name, imports, classes, self.warnings)
 
     def _dotted_name(self, allow_star: bool = False) -> str:
@@ -387,7 +403,7 @@ class _Parser:
                 self._parse_member(cls)
             except _Unsupported as exc:
                 self.warn(exc.what, exc.line)
-                self._skip_declaration()
+                self._skip("statement")
 
     def _parse_member(self, cls: ClassEntity):
         if self.at(";"):
@@ -400,6 +416,8 @@ class _Parser:
         mods = self._parse_modifiers(context="member declaration")
         if self.at("class") or self.at("interface") or self.at("enum"):
             raise _Unsupported(line, "nested type declarations are not supported; member skipped")
+        if self.at("{"):
+            raise _Unsupported(line, "initializer blocks are not supported; member skipped")
         tok = self.peek()
         if tok.kind != "ident":
             self.fail(f"malformed member declaration, found {tok.text!r}", tok.line)
@@ -458,7 +476,9 @@ class _Parser:
                     self.warn(f"unsupported attribute initializer ({exc.what}); skipped", exc.line)
                     # from the start, so that brackets the error left open are matched
                     self.pos = start
-                    self._skip_to_declarator_boundary()
+                    self._skip("declarator")
+                    if not (self.at(",") or self.at(";")):
+                        return  # the skip ended after a block: the ';' is missing
             if self.at(","):
                 self.advance()
                 name = self.expect_ident().text
@@ -481,6 +501,11 @@ class _Parser:
         try:
             if not self.at(")"):
                 while True:
+                    while self.at("@") or self.at("final"):
+                        if self.at("@"):
+                            self._skip_annotation()
+                        else:
+                            self.advance()
                     # before the type too, so that "f(... x)" costs the method only
                     if self.at("..."):
                         raise _Unsupported(self.peek().line, f"varargs are not supported; method {name} skipped")
@@ -497,7 +522,7 @@ class _Parser:
                         continue
                     break
         except _Unsupported:
-            self._skip_parameter_list()
+            self._skip("list")
             raise
         self.expect(")")
         if self.at("throws"):
@@ -512,7 +537,7 @@ class _Parser:
             if cls.is_interface:
                 # harvest is defined for class bodies only; skip the block
                 self.warn("interface method bodies are ignored", self.peek().line)
-                self._skip_balanced("{", "}")
+                self._skip("group")
             else:
                 self.advance()
                 self._parse_block(method)
@@ -530,11 +555,14 @@ class _Parser:
             self._parse_or_skip_statement(method)
 
     def _parse_or_skip_statement(self, method: MethodEntity):
+        start = self.pos
         try:
             self._parse_statement(method)
         except _Unsupported as exc:
             self._warn_unsupported(exc)
-            self._skip_statement_tokens()
+            # from the start, so that brackets the error left open are matched
+            self.pos = start
+            self._skip("statement")
 
     def _warn_unsupported(self, exc: _Unsupported):
         self.warn(f"unsupported construct ({exc.what}); statement skipped", exc.line)
@@ -609,7 +637,7 @@ class _Parser:
         except _Unsupported as exc:
             self._warn_unsupported(exc)
             self.pos = header
-            self._skip_balanced("(", ")")
+            self._skip("group")
         self._parse_statement(method)
 
     def _parse_for_header(self, method: MethodEntity, line: int):
@@ -633,7 +661,6 @@ class _Parser:
         self.expect_after_expression(")")
 
     def _parse_switch(self, method: MethodEntity):
-        start = self.pos
         line = self.advance().line
         self.expect("(")
         self._parse_expression(method)
@@ -649,8 +676,6 @@ class _Parser:
                             self.fail("unexpected end of file inside case label")
                         self.advance()
                 if self.at("->"):
-                    # a switch of rules is skipped whole, from its keyword
-                    self.pos = start
                     raise _Unsupported(line, "arrow case label")
                 self.expect(":")
                 continue
@@ -658,9 +683,11 @@ class _Parser:
         self.expect("}")
 
     def _looks_like_declaration(self) -> bool:
-        """Lookahead: IDENT(.IDENT)*([])* IDENT followed by = , ; or [."""
+        """Lookahead: [final] IDENT(.IDENT)*([])* IDENT followed by = , ; or :."""
         i = self.pos
         toks = self.tokens
+        if self.at("final"):
+            i += 1
 
         def kindtext(j):
             t = toks[j]
@@ -688,6 +715,8 @@ class _Parser:
         return (k, t) in (("punct", "="), ("punct", ","), ("punct", ";"), ("punct", ":"))
 
     def _parse_local_declaration(self, method: MethodEntity):
+        if self.at("final"):
+            self.advance()
         declared_type = self._parse_type_use()
         while True:
             name = self.expect_ident().text
@@ -828,104 +857,70 @@ class _Parser:
             return f"new {type_name}[]"
         raise _Unsupported(new_tok.line, "malformed object creation")
 
-    # -- recovery helpers ----------------------------------------------
-
-    def _skip_to_semicolon(self):
-        while not self.at_kind("eof"):
-            tok = self.advance()
-            if tok.kind == "punct" and tok.text == ";":
-                return
+    # -- recovery --------------------------------------------------------
 
     def _skip_annotation(self):
         line = self.expect("@").line
         self.warn("annotations are not supported; annotation skipped", line)
         self._dotted_name()
         if self.at("("):
-            self._skip_balanced("(", ")")
+            self._skip("group")
 
-    def _skip_balanced(self, open_text: str, close_text: str):
-        depth = 0
-        start = self.peek().line
+    def _skip(self, rule: str):
+        """Consume what the parser will not read, up to where rule ends the
+        skip at bracket depth zero:
+
+        - "statement": after a ';', or after a '{ }' block that nothing goes
+          on from (see _goes_on);
+        - "declarator": before a ',' or ';', or after such a block;
+        - "group": after the bracket group that starts here;
+        - "list": before a '{' or ')'.
+
+        A closer closes its own bracket and the weaker ones still open
+        inside it ('{' > '(' > '['); a ')' or ']' whose bracket is not open
+        is skipped. A '}' with no '{' open ends the skip and is left in
+        place. So does the end of the file, which is structural damage while
+        a bracket is open.
+        """
+        opened: list[Token] = []
         while True:
             tok = self.peek()
+            text = tok.text
             if tok.kind == "eof":
-                self.fail(f"unexpected end of file (unbalanced {open_text!r})", start)
-            self.advance()
-            if tok.kind == "punct":
-                if tok.text == open_text:
-                    depth += 1
-                elif tok.text == close_text:
-                    depth -= 1
-                    if depth == 0:
-                        return
-
-    def _skip_parameter_list(self):
-        """After a bad parameter: past the ')' that closes the list, counting
-        nested parentheses, or up to a '{' or ';' directly in the list."""
-        depth = 0
-        while not self.at_kind("eof"):
-            tok = self.peek()
-            if tok.kind == "punct":
-                if tok.text in ("{", ";") and depth == 0:
-                    return
-                if tok.text == "(":
-                    depth += 1
-                elif tok.text == ")":
-                    if depth == 0:
-                        self.advance()
-                        return
-                    depth -= 1
-            self.advance()
-
-    def _skip_declaration(self):
-        """Consume a declaration we chose not to model: through its block or ';'."""
-        while not self.at_kind("eof"):
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "{":
-                self._skip_balanced("{", "}")
+                if opened:
+                    self.fail(f"unexpected end of file (unbalanced {opened[0].text!r})", opened[0].line)
                 return
-            if tok.kind == "punct" and tok.text == ";":
+            if tok.kind != "punct":
                 self.advance()
-                return
-            self.advance()
-        self.fail("unexpected end of file inside skipped declaration")
-
-    def _skip_statement_tokens(self):
-        """Recover after an unsupported statement: to ';' or past one block."""
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "punct":
-                if tok.text == "}" and depth == 0:
+                continue
+            if not opened:
+                if rule == "declarator" and text in (",", ";") or rule == "list" and text in ("{", ")"):
                     return
-                if tok.text == "{":
-                    depth += 1
-                elif tok.text == "}":
-                    depth -= 1
-                    if depth == 0:
-                        self.advance()
-                        return
-                elif tok.text == ";" and depth == 0:
+                if rule == "statement" and text == ";":
                     self.advance()
                     return
-            self.advance()
-
-    def _skip_to_declarator_boundary(self):
-        """After a bad initializer: stop before ',' or ';' at depth zero."""
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "punct":
-                if tok.text in ("(", "[", "{"):
-                    depth += 1
-                elif tok.text in (")", "]", "}"):
-                    if depth == 0:
-                        return
+            if text in _STRENGTH:
+                opened.append(tok)
+            elif text in _OPENER_OF:
+                opener = _OPENER_OF[text]
+                depth = len(opened)
+                while depth and _STRENGTH[opened[depth - 1].text] < _STRENGTH[opener]:
                     depth -= 1
-                elif tok.text in (",", ";") and depth == 0:
+                if depth and opened[depth - 1].text == opener:
+                    del opened[depth - 1:]
+                    if not opened and (rule == "group" or text == "}" and not self._goes_on(self.peek(1))):
+                        self.advance()
+                        return
+                elif text == "}":
                     return
             self.advance()
+
+    @staticmethod
+    def _goes_on(tok: Token) -> bool:
+        """Whether tok, after the '}' of a block, goes on with the same
+        statement or initializer: a selector, an operator, a ',' or a ';',
+        or an else, catch or finally clause. Punctuation that only starts
+        the next statement or member does not go on."""
+        if tok.kind == "punct":
+            return tok.text not in ("}", "@", "{", "(", "++", "--")
+        return tok.kind == "ident" and tok.text in ("else", "catch", "finally")

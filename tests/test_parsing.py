@@ -450,11 +450,13 @@ def test_arrow_switch_costs_the_switch_only():
 
 
 def test_failed_parameter_list_costs_its_method_only():
-    # f's list holds a '{' and a ')' inside an annotation; bad's list has no ')'
+    # f's list holds a '{' and a ')' inside an annotation; bad's list has no
+    # ')'; semi's holds a ';'
     text = (
         "class C {\n"
         "  void f(List<@N({1}) String> xs) { g(); }\n"
         "  void bad(List<String> a { }\n"
+        "  void semi(Foo<;> x) { g(); }\n"
         "  void ok() { }\n"
         "  void g() { h(); }\n"
         "}\n"
@@ -466,6 +468,92 @@ def test_failed_parameter_list_costs_its_method_only():
     assert [(w.line, w.message) for w in tree.warnings] == [
         (2, "unsupported parameter type; method f skipped"),
         (3, "unsupported parameter type; method bad skipped"),
+        (4, "unsupported parameter type; method semi skipped"),
+    ]
+
+
+@pytest.mark.parametrize("body, invocations, what", [
+    # the ';' inside a try-with-resources header does not end the skip
+    ("try (R r = o(); S s = p()) { g(); } h();", [("h", "")], "'try' statement"),
+    # nor does the '}' of a lambda block inside a call
+    ("run(() -> { b.go(); }); b.stop();", [("stop", "b")], "token ')' in expression"),
+    # catch and finally go on from the try block, a selector from a class body
+    ("try { a(); } catch (E e) { b(); } finally { c(); } d();", [("d", "")], "'try' statement"),
+    ("x = new A() { void q() { } }.go(); y();", [("y", "")], "anonymous class body"),
+    # a '(' that never closes: the skip runs to the end of the enclosing block
+    ("a( ; b();\n  c();", [], "token ';' in expression"),
+])
+def test_an_unsupported_statement_is_skipped_whole_with_one_warning(body, invocations, what):
+    tree = parse_text(f"class C {{\n void m() {{\n  {body}\n }}\n void n() {{ k(); }}\n}}\n")
+    cls = find_class(tree, "C")
+    assert locals_of(cls.methods[0]) == []
+    assert invocations_of(cls.methods[0]) == invocations
+    assert invocations_of(cls.methods[1]) == [("k", "")]
+    assert [(w.line, w.message) for w in tree.warnings] == [
+        (3, f"unsupported construct ({what}); statement skipped")]
+
+
+def test_initializer_without_its_semicolon_costs_the_next_method_only():
+    text = (
+        "class C {\n"
+        "  int x = f()\n"
+        "  void a() { p(); }\n"
+        "  void b() { q(); }\n"
+        "  void c() { r(); }\n"
+        "}\n"
+    )
+    tree = parse_text(text)
+    cls = find_class(tree, "C")
+    assert [a.name for a in cls.attributes] == ["x"]
+    assert [m.name for m in cls.methods] == ["b", "c"]
+    assert [invocations_of(m) for m in cls.methods] == [[("q", "")], [("r", "")]]
+    assert [(w.line, w.message) for w in tree.warnings] == [
+        (3, "unsupported attribute initializer (token 'void' in expression); skipped")]
+
+
+def test_final_and_annotated_parameters_and_final_locals_are_kept():
+    text = (
+        "class C {\n"
+        "  void m(final B b, @N C c, final @M(1) D d) {\n"
+        "    final int x = 1;\n"
+        "    for (final int i = 0; i < x; i = i + 1) { b.go(); }\n"
+        "  }\n"
+        "  C(final B b) { }\n"
+        "}\n"
+        "interface I { void m(final B b); }\n"
+    )
+    tree = parse_text(text)
+    m, ctor = find_class(tree, "C").methods
+    assert [(p.name, p.declared_type) for p in m.parameters] == [("b", "B"), ("c", "C"), ("d", "D")]
+    assert locals_of(m) == [("x", "int"), ("i", "int")]
+    assert invocations_of(m) == [("go", "b")]
+    assert [p.name for p in ctor.parameters] == ["b"]
+    assert [p.name for p in find_class(tree, "I").methods[0].parameters] == ["b"]
+    assert [(w.line, w.message) for w in tree.warnings] == [
+        (2, "annotations are not supported; annotation skipped")] * 2
+
+
+def test_member_modifiers_are_accepted_and_initializer_blocks_cost_themselves():
+    text = (
+        "class C {\n"
+        "  private transient int t;\n"
+        "  volatile int v;\n"
+        "  native void n();\n"
+        "  public synchronized void s() { g(); }\n"
+        "  static { init(); }\n"
+        "  { other(); }\n"
+        "  void m() { h(); }\n"
+        "}\n"
+    )
+    tree = parse_text(text)
+    cls = find_class(tree, "C")
+    assert [(a.name, a.access_level) for a in cls.attributes] == [
+        ("t", "private"), ("v", "package-private")]
+    assert [m.name for m in cls.methods] == ["n", "s", "m"]
+    assert [invocations_of(m) for m in cls.methods] == [[], [("g", "")], [("h", "")]]
+    assert [(w.line, w.message) for w in tree.warnings] == [
+        (6, "initializer blocks are not supported; member skipped"),
+        (7, "initializer blocks are not supported; member skipped"),
     ]
 
 
