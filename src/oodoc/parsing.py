@@ -59,6 +59,8 @@ _MEMBER_FLAGS = ("static", "final", "abstract", "transient", "volatile", "native
 _UNSUPPORTED_STATEMENT_KEYWORDS = {
     "do", "try", "catch", "finally", "throw", "synchronized", "assert",
 }
+# a receiver that calls a constructor instead -> what it costs
+_CONSTRUCTOR_CALLS = {"this": "this(...) constructor delegation", "super": "super(...) constructor call"}
 # brackets, for recovery: a closer also closes the weaker ones open inside it
 _STRENGTH = {"[": 0, "(": 1, "{": 2}
 _OPENER_OF = {"]": "[", ")": "(", "}": "{"}
@@ -240,8 +242,10 @@ class _Parser:
         return self.tokens[self.pos + offset]
 
     def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind in ("punct", "ident")
+        # no two kinds share a text: an identifier starts with a letter, "_"
+        # or "$", a number with a digit, a literal with its quote, and eof
+        # is the empty text
+        return self.tokens[self.pos].text == text
 
     def at_kind(self, kind: str) -> bool:
         return self.tokens[self.pos].kind == kind
@@ -325,13 +329,21 @@ class _Parser:
             parts.append(self.expect_ident().text)
         return ".".join(parts)
 
+    def _dotted_names(self) -> list[str]:
+        """A comma-separated list of dotted names."""
+        names = [self._dotted_name()]
+        while self.at(","):
+            self.advance()
+            names.append(self._dotted_name())
+        return names
+
     # -- type declarations ----------------------------------------------
 
     def _parse_type_decl(self, imports: list[str]) -> ClassEntity:
         line = self.peek().line
         while self.at("@"):
             self._skip_annotation()
-        mods = self._parse_modifiers(context="type declaration")
+        access, _ = self._parse_modifiers(context="type declaration")
         if self.at("enum"):
             raise _Unsupported(self.peek().line, "enum declarations are not supported; declaration skipped")
         if not (self.at("class") or self.at("interface")):
@@ -340,61 +352,43 @@ class _Parser:
         name = self.expect_ident().text
         if self.at("<"):
             raise _Unsupported(line, f"generic type {name} is not supported; declaration skipped")
-        if mods["access"] in ("protected", "private"):
-            self.fail(f"{mods['access']} is not a valid top-level access level", line)
-        cls = ClassEntity(
-            name=name,
-            access_level="public" if mods["access"] == "public" else "package-private",
-            is_interface=is_interface,
-            imports=imports,
-        )
-        interfaces = cls.super_interfaces
+        if access in ("protected", "private"):
+            self.fail(f"{access} is not a valid top-level access level", line)
+        cls = ClassEntity(name=name, access_level=access, is_interface=is_interface, imports=imports)
         if self.at("extends"):
             self.advance()
-            first = TypeRef(self._dotted_name())
-            if not is_interface:
-                cls.superclass = first
+            if is_interface:
+                cls.super_interfaces.extend(map(TypeRef, self._dotted_names()))
+            else:
+                cls.superclass = TypeRef(self._dotted_name())
                 if self.at(","):
                     self.fail("a class can extend only one superclass")
-            else:
-                interfaces.append(first)
-                while self.at(","):
-                    self.advance()
-                    interfaces.append(TypeRef(self._dotted_name()))
         if self.at("implements"):
             if is_interface:
                 self.fail("an interface cannot declare implements")
             self.advance()
-            interfaces.append(TypeRef(self._dotted_name()))
-            while self.at(","):
-                self.advance()
-                interfaces.append(TypeRef(self._dotted_name()))
+            cls.super_interfaces.extend(map(TypeRef, self._dotted_names()))
         self.expect("{")
         self._parse_members(cls)
         self.expect("}")
         return cls
 
-    def _parse_modifiers(self, context: str) -> dict:
+    def _parse_modifiers(self, context: str) -> tuple[str, bool]:
+        """Consume the modifiers; return the access level and whether one
+        of them is static."""
         access = ""
-        flags: set[str] = set()
+        is_static = False
         while True:
             tok = self.peek()
-            if tok.kind != "ident":
-                break
             if tok.text in _ACCESS_MODIFIERS:
                 if access:
                     self.fail(f"conflicting access modifiers in {context}", tok.line)
                 access = tok.text
-                self.advance()
             elif tok.text in _MEMBER_FLAGS:
-                flags.add(tok.text)
-                self.advance()
+                is_static = is_static or tok.text == "static"
             else:
-                break
-        return {"access": access, "flags": flags}
-
-    def _member_access(self, mods: dict) -> str:
-        return mods["access"] if mods["access"] else "package-private"
+                return access or "package-private", is_static
+            self.advance()
 
     def _parse_members(self, cls: ClassEntity):
         """Append the members up to the closing brace to cls, in order."""
@@ -446,23 +440,25 @@ class _Parser:
             raise _Unsupported(line, "generic type use")
         return name + self._array_suffix()
 
+    def _pairs_end(self, i: int) -> int:
+        """The index after the [] pairs that start at token i."""
+        toks = self.tokens
+        while toks[i].text == "[" and toks[i + 1].text == "]":
+            i += 2
+        return i
+
     def _array_suffix(self) -> str:
         """Consume the [] pairs after a type or a declarator; return them."""
-        suffix = ""
-        while self.at("[") and self.peek(1).text == "]":
-            self.pos += 2
-            suffix += "[]"
-        return suffix
+        start, self.pos = self.pos, self._pairs_end(self.pos)
+        return "[]" * ((self.pos - start) // 2)
 
     def _parse_attribute_declarators(
-        self, cls: ClassEntity, first_name: str, declared_type: str, mods: dict
+        self, cls: ClassEntity, first_name: str, declared_type: str, mods: tuple[str, bool]
     ):
-        access_level = self._member_access(mods)
-        is_static = "static" in mods["flags"]
         name = first_name
         while True:
             decl_type = declared_type + self._array_suffix()
-            cls.attributes.append(AttributeEntity(name, decl_type, access_level, is_static))
+            cls.attributes.append(AttributeEntity(name, decl_type, *mods))
             if self.at("="):
                 self.advance()
                 start = self.pos
@@ -486,16 +482,10 @@ class _Parser:
             self.expect(";")
             return
 
-    def _parse_method(self, cls: ClassEntity, name: str, return_type: str | None, mods: dict):
+    def _parse_method(self, cls: ClassEntity, name: str, return_type: str | None, mods: tuple[str, bool]):
         """Append the method or constructor (return_type None) to cls; a
         header outside the subset raises _Unsupported instead."""
-        method = MethodEntity(
-            name,
-            return_type,
-            self._member_access(mods),
-            is_static="static" in mods["flags"],
-            is_constructor=return_type is None,
-        )
+        method = MethodEntity(name, return_type, *mods, is_constructor=return_type is None)
         parameters = method.parameters
         self.expect("(")
         try:
@@ -527,10 +517,7 @@ class _Parser:
         self.expect(")")
         if self.at("throws"):
             self.advance()
-            method.throws.append(self._dotted_name())
-            while self.at(","):
-                self.advance()
-                method.throws.append(self._dotted_name())
+            method.throws.extend(self._dotted_names())
         if self.at(";"):
             self.advance()
         elif self.at("{"):
@@ -569,53 +556,43 @@ class _Parser:
 
     def _parse_statement(self, method: MethodEntity):
         tok = self.peek()
-        if tok.kind == "punct":
-            if tok.text == "{":
+        text = tok.text
+        if text == "{":
+            self.advance()
+            self._parse_block(method)
+            self.expect("}")
+            return
+        if text == ";":
+            self.advance()
+            return
+        if text == "@":
+            raise _Unsupported(tok.line, "annotation")
+        if text in _UNSUPPORTED_STATEMENT_KEYWORDS:
+            raise _Unsupported(tok.line, f"'{text}' statement")
+        if text in ("if", "while"):
+            self.advance()
+            self._parse_parenthesized(method)
+            self._parse_statement(method)
+            if text == "if" and self.at("else"):
                 self.advance()
-                self._parse_block(method)
-                self.expect("}")
-                return
-            if tok.text == ";":
-                self.advance()
-                return
-            if tok.text == "@":
-                raise _Unsupported(tok.line, "annotation")
-        if tok.kind == "ident":
-            if tok.text in _UNSUPPORTED_STATEMENT_KEYWORDS:
-                raise _Unsupported(tok.line, f"'{tok.text}' statement")
-            if tok.text == "if":
-                self.advance()
-                self.expect("(")
-                self._parse_expression(method)
-                self.expect_after_expression(")")
                 self._parse_statement(method)
-                if self.at("else"):
-                    self.advance()
-                    self._parse_statement(method)
-                return
-            if tok.text == "while":
-                self.advance()
-                self.expect("(")
+            return
+        if text == "for":
+            self._parse_for(method)
+            return
+        if text == "switch":
+            self._parse_switch(method)
+            return
+        if text == "return":
+            self.advance()
+            if not self.at(";"):
                 self._parse_expression(method)
-                self.expect_after_expression(")")
-                self._parse_statement(method)
-                return
-            if tok.text == "for":
-                self._parse_for(method)
-                return
-            if tok.text == "switch":
-                self._parse_switch(method)
-                return
-            if tok.text == "return":
-                self.advance()
-                if not self.at(";"):
-                    self._parse_expression(method)
-                self.expect_after_expression(";")
-                return
-            if tok.text in ("break", "continue"):
-                self.advance()
-                self.expect(";")
-                return
+            self.expect_after_expression(";")
+            return
+        if text in ("break", "continue"):
+            self.advance()
+            self.expect(";")
+            return
         if self._looks_like_declaration():
             self._parse_local_declaration(method)
             self.expect_after_expression(";")
@@ -653,18 +630,11 @@ class _Parser:
         if not self.at(";"):
             self._parse_expression(method)
         self.expect_after_expression(";")
-        if not self.at(")"):
-            self._parse_expression(method)
-            while self.at(","):
-                self.advance()
-                self._parse_expression(method)
-        self.expect_after_expression(")")
+        self._parse_expression_list(method)
 
     def _parse_switch(self, method: MethodEntity):
         line = self.advance().line
-        self.expect("(")
-        self._parse_expression(method)
-        self.expect_after_expression(")")
+        self._parse_parenthesized(method)
         self.expect("{")
         while not self.at("}"):
             if self.at_kind("eof"):
@@ -683,36 +653,18 @@ class _Parser:
         self.expect("}")
 
     def _looks_like_declaration(self) -> bool:
-        """Lookahead: [final] IDENT(.IDENT)*([])* IDENT followed by = , ; or :."""
-        i = self.pos
+        """Lookahead: [final] IDENT(.IDENT)*([])* IDENT([])* followed by = , ; or :."""
         toks = self.tokens
-        if self.at("final"):
-            i += 1
-
-        def kindtext(j):
-            t = toks[j]
-            return t.kind, t.text
-
-        k, _ = kindtext(i)
-        if k != "ident":
+        i = self.pos + 1 if self.at("final") else self.pos
+        if toks[i].kind != "ident":
             return False
         i += 1
-        while True:
-            k, t = kindtext(i)
-            if k == "punct" and t == "." and kindtext(i + 1)[0] == "ident":
-                i += 2
-                continue
-            break
-        while kindtext(i) == ("punct", "[") and kindtext(i + 1) == ("punct", "]"):
+        while toks[i].text == "." and toks[i + 1].kind == "ident":
             i += 2
-        k, _ = kindtext(i)
-        if k != "ident":
+        i = self._pairs_end(i)
+        if toks[i].kind != "ident":
             return False
-        i += 1
-        while kindtext(i) == ("punct", "[") and kindtext(i + 1) == ("punct", "]"):
-            i += 2
-        k, t = kindtext(i)
-        return (k, t) in (("punct", "="), ("punct", ","), ("punct", ";"), ("punct", ":"))
+        return toks[self._pairs_end(i + 1)].text in ("=", ",", ";", ":")
 
     def _parse_local_declaration(self, method: MethodEntity):
         if self.at("final"):
@@ -735,17 +687,16 @@ class _Parser:
     def _parse_expression(self, method: MethodEntity):
         self._parse_binary(method)
         tok = self.peek()
-        if tok.text == "=" and tok.kind == "punct":
+        if tok.text == "=":
             self.advance()
             self._parse_expression(method)
-        elif tok.kind == "punct" and tok.text in ("+=", "-=", "*=", "/=", "%=", "?", "->", "++", "--"):
+        elif tok.text in ("+=", "-=", "*=", "/=", "%=", "?", "->", "++", "--"):
             raise _Unsupported(tok.line, f"operator {tok.text!r}")
 
     def _parse_binary(self, method: MethodEntity, min_level: int = 0):
         """Left-associative binary operators by precedence climbing."""
         self._parse_unary(method)
         while True:
-            # only punct tokens can carry an operator's text
             level = _BINARY_LEVELS.get(self.tokens[self.pos].text)
             if level is None or level < min_level:
                 return
@@ -754,10 +705,10 @@ class _Parser:
 
     def _parse_unary(self, method: MethodEntity):
         tok = self.peek()
-        if tok.kind == "punct" and tok.text in ("!", "-", "+"):
+        if tok.text in ("!", "-", "+"):
             self.advance()
             self._parse_unary(method)
-        elif tok.kind == "punct" and tok.text in ("++", "--", "~"):
+        elif tok.text in ("++", "--", "~"):
             raise _Unsupported(tok.line, f"operator {tok.text!r}")
         else:
             self._parse_postfix(method)
@@ -769,7 +720,7 @@ class _Parser:
         pending: tuple[str, str] | None = None  # (field name, receiver text)
         while True:
             tok = self.peek()
-            if tok.kind == "punct" and tok.text == "." and self.peek(1).kind == "ident":
+            if tok.text == "." and self.peek(1).kind == "ident":
                 self.advance()
                 name_tok = self.advance()
                 if self.at("("):
@@ -782,7 +733,7 @@ class _Parser:
                     pending = (name_tok.text, text)
                     text = f"{text}.{name_tok.text}"
                 continue
-            if tok.kind == "punct" and tok.text == "[":
+            if tok.text == "[":
                 self.advance()
                 self._parse_expression(method)
                 self.expect_after_expression("]")
@@ -794,45 +745,46 @@ class _Parser:
 
     def _parse_arguments(self, method: MethodEntity):
         self.expect("(")
+        self._parse_expression_list(method)
+
+    def _parse_expression_list(self, method: MethodEntity):
+        """Expressions separated by ',', up to and through a ')'."""
         if not self.at(")"):
-            while True:
+            self._parse_expression(method)
+            while self.at(","):
+                self.advance()
                 self._parse_expression(method)
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
+        self.expect_after_expression(")")
+
+    def _parse_parenthesized(self, method: MethodEntity):
+        self.expect("(")
+        self._parse_expression(method)
         self.expect_after_expression(")")
 
     def _parse_primary(self, method: MethodEntity) -> str:
         tok = self.peek()
+        text = tok.text
         if tok.kind in ("number", "string", "char"):
             self.advance()
-            return tok.text
-        if tok.kind == "punct" and tok.text == "(":
-            self.advance()
-            self._parse_expression(method)
-            self.expect_after_expression(")")
+            return text
+        if text == "(":
+            self._parse_parenthesized(method)
             return "(...)"
+        if text == "new":
+            return self._parse_creation(method)
+        if text in _CONSTRUCTOR_CALLS:
+            if self.peek(1).text == "(":
+                raise _Unsupported(tok.line, _CONSTRUCTOR_CALLS[text])
+            self.advance()
+            return text
         if tok.kind == "ident":
-            if tok.text == "new":
-                return self._parse_creation(method)
-            if tok.text == "this":
-                if self.peek(1).text == "(":
-                    raise _Unsupported(tok.line, "this(...) constructor delegation")
-                self.advance()
-                return "this"
-            if tok.text == "super":
-                if self.peek(1).text == "(":
-                    raise _Unsupported(tok.line, "super(...) constructor call")
-                self.advance()
-                return "super"
             self.advance()
             if self.at("("):
                 self._parse_arguments(method)
-                method.invocations.append(InvocationRelation(tok.text, ""))
-                return f"{tok.text}()"
-            return tok.text
-        raise _Unsupported(tok.line, f"token {tok.text!r} in expression")
+                method.invocations.append(InvocationRelation(text, ""))
+                return f"{text}()"
+            return text
+        raise _Unsupported(tok.line, f"token {text!r} in expression")
 
     def _parse_creation(self, method: MethodEntity) -> str:
         new_tok = self.advance()
@@ -890,9 +842,6 @@ class _Parser:
                 if opened:
                     self.fail(f"unexpected end of file (unbalanced {opened[0].text!r})", opened[0].line)
                 return
-            if tok.kind != "punct":
-                self.advance()
-                continue
             if not opened:
                 if rule == "declarator" and text in (",", ";") or rule == "list" and text in ("{", ")"):
                     return
