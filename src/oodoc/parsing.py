@@ -10,8 +10,8 @@ constructors, methods with parameter lists and throws clauses, and method
 bodies made of local variable declarations, assignments, call expressions,
 field accesses and the if/else, for, while, switch, return and block
 statements. Parameters and locals may be final, and members may carry the
-flags static, final, abstract, transient, volatile, native and
-synchronized. An annotation on a declaration, a member or a parameter costs
+flags static, final, abstract, transient, volatile, native, synchronized
+and default. An annotation on a declaration, a member or a parameter costs
 itself and a warning. Any other construct outside the subset costs the
 smallest of five units that holds it, with one warning: a top-level
 declaration (an enum, a generic type), a member (a nested type, an
@@ -54,7 +54,7 @@ if TYPE_CHECKING:
     from .sources import SourceFile
 
 _ACCESS_MODIFIERS = ("public", "protected", "private")
-_MEMBER_FLAGS = ("static", "final", "abstract", "transient", "volatile", "native", "synchronized")
+_MEMBER_FLAGS = ("static", "final", "abstract", "transient", "volatile", "native", "synchronized", "default")
 # statements we recognise well enough to refuse politely
 _UNSUPPORTED_STATEMENT_KEYWORDS = {
     "do", "try", "catch", "finally", "throw", "synchronized", "assert",

@@ -557,6 +557,24 @@ def test_member_modifiers_are_accepted_and_initializer_blocks_cost_themselves():
     ]
 
 
+def test_default_methods_are_kept():
+    text = (
+        "interface I {\n"
+        "  default void d() { g(); }\n"
+        "  void e();\n"
+        "}\n"
+        "class C {\n"
+        "  default void d() { g(); }\n"
+        "  void m(int n) { switch (n) { default: h(); } }\n"
+        "}\n"
+    )
+    tree = parse_text(text)
+    assert [m.name for m in find_class(tree, "I").methods] == ["d", "e"]
+    cls = find_class(tree, "C")
+    assert [(m.name, invocations_of(m)) for m in cls.methods] == [("d", [("g", "")]), ("m", [("h", "")])]
+    assert [(w.line, w.message) for w in tree.warnings] == [(2, "interface method bodies are ignored")]
+
+
 def test_receiver_text_of_each_primary():
     tree = parse_text(
         'class C { void m() { (a + b).c(); xs[i + 1].go(); new T(a).go(); "s".length();'
