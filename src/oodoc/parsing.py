@@ -722,16 +722,17 @@ class _Parser:
             tok = self.peek()
             if tok.text == "." and self.peek(1).kind == "ident":
                 self.advance()
-                name_tok = self.advance()
+                name = self.advance().text
+                # a call or a class literal T.class consumes everything
+                # before it as receiver path
+                pending = None
                 if self.at("("):
-                    # a call consumes everything before it as receiver path
-                    pending = None
                     self._parse_arguments(method)
-                    method.invocations.append(InvocationRelation(name_tok.text, text))
-                    text = f"{text}.{name_tok.text}()"
-                else:
-                    pending = (name_tok.text, text)
-                    text = f"{text}.{name_tok.text}"
+                    method.invocations.append(InvocationRelation(name, text))
+                    name += "()"
+                elif name != "class":
+                    pending = (name, text)
+                text = f"{text}.{name}"
                 continue
             if tok.text == "[":
                 self.advance()

@@ -587,3 +587,14 @@ def test_receiver_text_of_each_primary():
     ]
     assert accesses_of(method) == [("f", "this.ok"), ("c", "(...).b")]
     assert tree.warnings == []
+
+
+def test_class_literal_records_nothing():
+    tree = parse_text(
+        "class C { void m() { Object z = A.class; n = A.class.getName(); y = p.A.class.x; } }"
+    )
+    method = find_class(tree, "C").methods[0]
+    assert locals_of(method) == [("z", "Object")]
+    assert invocations_of(method) == [("getName", "A.class")]
+    assert accesses_of(method) == [("x", "p.A.class")]
+    assert tree.warnings == []
