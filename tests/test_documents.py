@@ -15,7 +15,10 @@ from oodoc.documents import (
     iter_documents,
     merge_per_class_documents,
 )
-from oodoc.model import ClassEntity, Package, Project, class_qualified_name
+from oodoc.dot import serialize_dot
+from oodoc.model import ClassEntity, Package, Project, build_model, class_qualified_name, resolve_references
+from oodoc.parsing import parse_files
+from oodoc.sources import SourceFile
 
 from checks import assert_graph_well_formed, lookup
 from conftest import CORE_ELEMENTS, CORE_FRAME, all_documents
@@ -142,6 +145,31 @@ def test_class_dependency_without_inheritance_has_no_edges():
     graph = gen_class_dependency_document(project)
     assert len(graph.nodes) == 2
     assert graph.edges == []
+
+
+def test_class_dependency_of_interfaces():
+    texts = {
+        "p/C.java": "package p; class C extends B implements I, java.io.Serializable { }",
+        "p/B.java": "package p; class B { }",
+        "p/I.java": "package p; interface I extends J { }",
+        "p/J.java": "package p; interface J { }",
+    }
+    trees, failures = parse_files([SourceFile(path, text) for path, text in texts.items()])
+    assert not failures
+    graph = gen_class_dependency_document(resolve_references(build_model(trees, "interfaces")))
+    assert_graph_well_formed(graph)
+    assert edge_set(graph) == {
+        ("p.C", "p.B", "inherits"),
+        ("p.C", "p.I", "implements"),
+        ("p.C", "ext:java.io.Serializable", "implements"),
+        ("p.I", "p.J", "inherits"),
+    }
+    assert node_by_id(graph, "ext:java.io.Serializable").title == "Serializable"
+    text = serialize_dot(graph)
+    assert '"ext:java.io.Serializable" [label="{Serializable}", style="dotted"];' in text
+    assert '"p.C" -> "p.I" [arrowhead="empty", style="dashed"];' in text
+    assert '"p.C" -> "ext:java.io.Serializable" [arrowhead="empty", style="dashed"];' in text
+    assert '"p.I" -> "p.J" [arrowhead="empty"];' in text
 
 
 def test_class_content_rows(fixture_project):

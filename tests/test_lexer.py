@@ -105,15 +105,24 @@ def assert_backslash_newline_divergence(text: str, new, old):
                    for kind, tok, tok_line in old), old
 
 
+def assert_one_kind_per_text(tokens, kinds: dict):
+    """The parser tests a token by its text alone: no two kinds share one."""
+    for tok in tokens:
+        assert kinds.setdefault(tok.text, tok.kind) == tok.kind, (tok.text, kinds[tok.text], tok.kind)
+
+
 def test_fixture_tokens_match_reference(fixture_files):
+    kinds: dict = {}
     for f in fixture_files:
         assert lex(f.text) == reference_lex(f.text), f.path
+        assert_one_kind_per_text(tokenize(f.text, f.path), kinds)
 
 
 def test_mutants_match_reference_and_loc_oracle(fixture_files):
     rng = random.Random(SEED)
     texts = [f.text for f in fixture_files]
     lexed = failed = diverged = cr_diverged = non_ascii = loc_checked = 0
+    kinds: dict = {}
     for _ in range(MUTANTS):
         text = mutate(rng.choice(texts), rng)
         non_ascii += not text.isascii()
@@ -129,6 +138,7 @@ def test_mutants_match_reference_and_loc_oracle(fixture_files):
         else:
             lexed += 1
             tokens = tokenize(text, "M.java")
+            assert_one_kind_per_text(tokens, kinds)
             if loc_oracle_applies(text, tokens):
                 loc_checked += 1
                 assert count_token_lines(tokens) == loc_oracle(text), text

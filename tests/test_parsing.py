@@ -151,6 +151,29 @@ def test_class_extends_and_implements():
     # unresolved until resolve_references places the names
     assert not cls.superclass.internal
     assert not any(ref.internal for ref in cls.super_interfaces)
+    iface = find_class(parse_text("interface I extends A, p.B {}"), "I")
+    assert iface.superclass is None
+    assert [ref.name for ref in iface.super_interfaces] == ["A", "p.B"]
+
+
+def test_static_import_and_interface_method_body_are_skipped_with_warning():
+    text = (
+        "package p;\n"
+        "import static p.A.b;\n"
+        "import q.R;\n"
+        "interface I {\n"
+        "  void m() { g(); }\n"
+        "  void n();\n"
+        "}\n"
+    )
+    tree = parse_text(text)
+    assert tree.imports == ["q.R"]
+    assert [m.name for m in find_class(tree, "I").methods] == ["m", "n"]
+    assert find_class(tree, "I").methods[0].invocations == []
+    assert [(w.line, w.message) for w in tree.warnings] == [
+        (2, "static imports are not supported; import skipped"),
+        (5, "interface method bodies are ignored"),
+    ]
 
 
 def test_control_flow_statements_are_traversed():
@@ -188,6 +211,16 @@ def test_control_flow_statements_are_traversed():
     assert tree.warnings == []
 
 
+def test_for_update_list_and_brackets_after_a_local_name():
+    tree = parse_text(
+        "class C { void m() { int a[] = null; for (i = 0; i < n; i = i + 1, j = j + 1) { g(); } } }"
+    )
+    m = find_class(tree, "C").methods[0]
+    assert locals_of(m) == [("a", "int[]")]
+    assert invocations_of(m) == [("g", "")]
+    assert tree.warnings == []
+
+
 def test_enum_is_skipped_with_warning():
     tree = parse_text("package p; enum Color { RED, GREEN } class A {}")
     assert [c.name for c in tree.classes] == ["A"]
@@ -220,6 +253,11 @@ UNSUPPORTED_BODY_STATEMENTS = (
     "b((int) x);",
     "b(a[(int) x]);",
     "int[] a = new int[(int) x];",
+    "this(1);",
+    "super(1);",
+    "new A<B>();",
+    "int[] a = new int[] {1, 2};",
+    '@SuppressWarnings("x") int a = 1;',
 )
 
 
@@ -324,9 +362,18 @@ def test_unbalanced_braces_give_parse_failure_with_location():
     assert exc.value.line >= 1
 
 
-def test_malformed_header_gives_parse_failure():
-    with pytest.raises(ParseFailure):
-        parse_text("public wibble A {}")
+@pytest.mark.parametrize("text, line, message", [
+    ("public wibble A {}", 1, "expected a class or interface declaration, found 'wibble'"),
+    ("class A extends B\n, C {}", 2, "a class can extend only one superclass"),
+    ("interface I\n implements J {}", 2, "an interface cannot declare implements"),
+    ("class A {\n public\n private int x; }", 3, "conflicting access modifiers in member declaration"),
+    ("public\n private class A {}", 2, "conflicting access modifiers in type declaration"),
+    ("\nprivate\n class A {}", 2, "private is not a valid top-level access level"),
+])
+def test_malformed_header_gives_parse_failure(text, line, message):
+    with pytest.raises(ParseFailure) as exc:
+        parse_text(text)
+    assert (exc.value.line, exc.value.message) == (line, message)
 
 
 def test_parsing_is_deterministic(fixture_files):
@@ -578,14 +625,14 @@ def test_default_methods_are_kept():
 def test_receiver_text_of_each_primary():
     tree = parse_text(
         'class C { void m() { (a + b).c(); xs[i + 1].go(); new T(a).go(); "s".length();'
-        " x = -a.b(); this.p.q.r(); x = y.z(); n = !this.ok.f; (a).b.c = 1; } }"
+        " x = -a.b(); this.p.q.r(); x = y.z(); n = !this.ok.f; (a).b.c = 1; n = new B[2].length; } }"
     )
     method = find_class(tree, "C").methods[0]
     assert invocations_of(method) == [
         ("c", "(...)"), ("go", "xs[]"), ("T", "T"), ("go", "new T()"),
         ("length", '"s"'), ("b", "a"), ("r", "this.p.q"), ("z", "y"),
     ]
-    assert accesses_of(method) == [("f", "this.ok"), ("c", "(...).b")]
+    assert accesses_of(method) == [("f", "this.ok"), ("c", "(...).b"), ("length", "new B[]")]
     assert tree.warnings == []
 
 
