@@ -638,7 +638,7 @@ def test_receiver_text_of_each_primary():
 
 def test_class_literal_records_nothing():
     tree = parse_text(
-        "class C { void m() { Object z = A.class; n = A.class.getName(); y = p.A.class.x; } }"
+        "class C { void m() { Object z = A.class; n = A.class.getName(); y = p.A.class.x; w = p.A.class; } }"
     )
     method = find_class(tree, "C").methods[0]
     assert locals_of(method) == [("z", "Object")]
