@@ -9,9 +9,9 @@ interface declarations, attributes (multiple declarators per statement),
 constructors, methods with parameter lists and throws clauses, and method
 bodies made of local variable declarations, assignments, call expressions,
 field accesses and the if/else, for, while, switch, return and block
-statements. Parameters and locals may be final, and members may carry the
-flags static, final, abstract, transient, volatile, native, synchronized
-and default. An annotation on a declaration, a member or a parameter costs
+statements. Parameters and locals may be final, a top-level type may be
+abstract or final, and members may carry the flags static, final,
+abstract, transient, volatile, native, synchronized and default. An annotation on a declaration, a member or a parameter costs
 itself and a warning. Any other construct outside the subset costs the
 smallest of five units that holds it, with one warning: a top-level
 declaration (an enum, a generic type), a member (a nested type, an
@@ -55,6 +55,7 @@ if TYPE_CHECKING:
 
 _ACCESS_MODIFIERS = ("public", "protected", "private")
 _MEMBER_FLAGS = ("static", "final", "abstract", "transient", "volatile", "native", "synchronized", "default")
+_TYPE_FLAGS = ("abstract", "final")
 # statements we recognise well enough to refuse politely
 _UNSUPPORTED_STATEMENT_KEYWORDS = {
     "do", "try", "catch", "finally", "throw", "synchronized", "assert",
@@ -343,7 +344,7 @@ class _Parser:
         line = self.peek().line
         while self.at("@"):
             self._skip_annotation()
-        access, _ = self._parse_modifiers(context="type declaration")
+        access, _ = self._parse_modifiers("type declaration", _TYPE_FLAGS)
         if self.at("enum"):
             raise _Unsupported(self.peek().line, "enum declarations are not supported; declaration skipped")
         if not (self.at("class") or self.at("interface")):
@@ -373,9 +374,9 @@ class _Parser:
         self.expect("}")
         return cls
 
-    def _parse_modifiers(self, context: str) -> tuple[str, bool]:
-        """Consume the modifiers; return the access level and whether one
-        of them is static."""
+    def _parse_modifiers(self, context: str, flags: tuple[str, ...]) -> tuple[str, bool]:
+        """Consume the access modifiers and the flags that context allows;
+        return the access level and whether one of them is static."""
         access = ""
         is_static = False
         while True:
@@ -384,7 +385,7 @@ class _Parser:
                 if access:
                     self.fail(f"conflicting access modifiers in {context}", tok.line)
                 access = tok.text
-            elif tok.text in _MEMBER_FLAGS:
+            elif tok.text in flags:
                 is_static = is_static or tok.text == "static"
             else:
                 return access or "package-private", is_static
@@ -407,7 +408,7 @@ class _Parser:
             self._skip_annotation()
             return
         line = self.peek().line
-        mods = self._parse_modifiers(context="member declaration")
+        mods = self._parse_modifiers("member declaration", _MEMBER_FLAGS)
         if self.at("class") or self.at("interface") or self.at("enum"):
             raise _Unsupported(line, "nested type declarations are not supported; member skipped")
         if self.at("{"):

@@ -369,6 +369,12 @@ def test_unbalanced_braces_give_parse_failure_with_location():
     ("class A {\n public\n private int x; }", 3, "conflicting access modifiers in member declaration"),
     ("public\n private class A {}", 2, "conflicting access modifiers in type declaration"),
     ("\nprivate\n class A {}", 2, "private is not a valid top-level access level"),
+    # a top-level type takes only the flags abstract and final
+    ("public\n static class B {}", 2, "expected a class or interface declaration, found 'static'"),
+    ("native class A {}", 1, "expected a class or interface declaration, found 'native'"),
+    ("abstract default class A {}", 1, "expected a class or interface declaration, found 'default'"),
+    ("final\n synchronized class E {}", 2, "expected a class or interface declaration, found 'synchronized'"),
+    ("transient interface I {}", 1, "expected a class or interface declaration, found 'transient'"),
 ])
 def test_malformed_header_gives_parse_failure(text, line, message):
     with pytest.raises(ParseFailure) as exc:
