@@ -8,7 +8,7 @@ alongside as nop_all because the package document still lists them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .model import ClassEntity, Project
 
@@ -61,12 +61,4 @@ def format_metrics(record: MetricsRecord) -> str:
 
 
 def metrics_json(record: MetricsRecord) -> str:
-    payload = {
-        "loc": record.loc,
-        "nop": record.nop,
-        "noc": record.noc,
-        "noa": record.noa,
-        "nom": record.nom,
-        "nop_all": record.nop_all,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(record), indent=2, sort_keys=True) + "\n"
