@@ -9,9 +9,12 @@ equal project.
 Tabs and line ends in names are written as character references, so they
 survive; a name with a character XML 1.0 cannot carry at all is refused.
 
-Both directions stream. write_model writes the document a piece at a time
-from the same writer whose pieces serialize_model joins, and parse_model
-builds the model from expat's events and never holds an element tree.
+Both directions stream. One writer checks and escapes the document a
+piece at a time and hands each piece to a sink: serialize_model's list or
+write_model's file. parse_model builds the model from expat's events and
+never holds an element tree. It builds each element's entity straight
+from its attributes, and only when that fails checks the element's rules
+in a fixed order, the int() size check of a count last, for the error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-from collections.abc import Iterator
 from xml.parsers import expat
 
 from .errors import ConsistencyError, InputError, SchemaError
@@ -80,7 +82,8 @@ def _bool(value: bool) -> str:
 
 
 class _Writer:
-    def __init__(self):
+    def __init__(self, out):
+        self.out = out  # takes each checked piece of the document, in order
         self.lines = [_XML_HEADER]
         self.lines_taken = 0  # lines already handed out by take()
 
@@ -98,6 +101,17 @@ class _Writer:
 
     def close(self, depth: int, tag: str):
         self.lines.append(f"{'  ' * depth}</{tag}>")
+
+    def element(self, depth: int, tag: str, items: list, write):
+        """Element tag, holding what write(self, item) writes for each item,
+        or written empty when there are no items."""
+        if items:
+            self.open(depth, tag)
+            for item in items:
+                write(self, item)
+            self.close(depth, tag)
+        else:
+            self.open(depth, tag, empty=True)
 
     def list_element(self, depth: int, tag: str, child: str, rows: list[tuple], values: tuple = ()):
         """Element tag, holding one empty child element per row of attribute
@@ -139,21 +153,15 @@ class _Writer:
         return text
 
 
-def _model_chunks(project: Project) -> Iterator[str]:
-    """The document as consecutive pieces of whole lines, each checked and
-    escaped before it is yielded; a piece ends after the class that brings
-    it to _CHUNK_LINES lines or more, or at the end of the document."""
-    w = _Writer()
+def _write_model(project: Project, out):
+    """Hand the document to out as consecutive pieces of whole lines, each
+    checked and escaped first; a piece ends after the class that brings it
+    to _CHUNK_LINES lines or more, or at the end of the document."""
+    w = _Writer(out)
     w.open(0, "Project", (project.name, str(project.loc)))
-    if project.packages:
-        w.open(1, "Packages")
-        for pkg in project.packages:
-            yield from _write_package(w, pkg)
-        w.close(1, "Packages")
-    else:
-        w.open(1, "Packages", empty=True)
+    w.element(1, "Packages", project.packages, _write_package)
     w.close(0, "Project")
-    yield w.take()
+    out(w.take())
 
 
 def serialize_model(project: Project) -> str:
@@ -161,7 +169,9 @@ def serialize_model(project: Project) -> str:
 
     It joins the pieces that write_model writes, so both give the same
     text; InputError if a name holds a character XML 1.0 cannot carry."""
-    return "".join(_model_chunks(project))
+    pieces: list[str] = []
+    _write_model(project, pieces.append)
+    return "".join(pieces)
 
 
 def write_model(project: Project, path: str | os.PathLike) -> None:
@@ -174,8 +184,7 @@ def write_model(project: Project, path: str | os.PathLike) -> None:
     partial = f"{os.fspath(path)}.partial"
     try:
         with open(partial, "w", encoding="utf-8", newline="") as out:
-            for chunk in _model_chunks(project):
-                out.write(chunk)
+            _write_model(project, out.write)
         os.replace(partial, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -183,17 +192,9 @@ def write_model(project: Project, path: str | os.PathLike) -> None:
         raise
 
 
-def _write_package(w: _Writer, pkg: Package) -> Iterator[str]:
+def _write_package(w: _Writer, pkg: Package):
     w.open(2, "Package", (pkg.qualified_name,))
-    if pkg.classes:
-        w.open(3, "Classes")
-        for cls in pkg.classes:
-            _write_class(w, cls)
-            if len(w.lines) >= _CHUNK_LINES:
-                yield w.take()
-        w.close(3, "Classes")
-    else:
-        w.open(3, "Classes", empty=True)
+    w.element(3, "Classes", pkg.classes, _write_class)
     w.close(2, "Package")
 
 
@@ -203,22 +204,16 @@ def _write_class(w: _Writer, cls: ClassEntity):
         cls.name, cls.access_level, _bool(cls.is_interface),
         None if sup is None else sup.name, None if sup is None else _bool(sup.internal),
     ))
-    if cls.super_interfaces:
-        for ref in cls.super_interfaces:
-            w.open(5, "SuperInterfaces", (ref.name, _bool(ref.internal)), empty=True)
-    else:
-        w.open(5, "SuperInterfaces", empty=True)
+    # one element per super-interface, or one bare element when there are none
+    for values in [(ref.name, _bool(ref.internal)) for ref in cls.super_interfaces] or [()]:
+        w.open(5, "SuperInterfaces", values, empty=True)
     w.list_element(5, "Attributes", "Attribute", [
         (a.name, a.declared_type, a.access_level, _bool(a.is_static)) for a in cls.attributes
     ])
-    if cls.methods:
-        w.open(5, "Methods")
-        for method in cls.methods:
-            _write_method(w, method)
-        w.close(5, "Methods")
-    else:
-        w.open(5, "Methods", empty=True)
+    w.element(5, "Methods", cls.methods, _write_method)
     w.close(4, "Class")
+    if len(w.lines) >= _CHUNK_LINES:
+        w.out(w.take())
 
 
 def _write_method(w: _Writer, m: MethodEntity):
@@ -256,18 +251,27 @@ _METHOD_PARTS = {
 
 
 class _Frame:
-    """An open element: its tag and location, the entity its children go
-    into, how many children it has had, and the child tags already seen."""
+    """An open element: its tag, its parent's frame and its place among
+    the parent's children, the entity its children go into, how many
+    children it has had, and the child tags already seen."""
 
-    __slots__ = ("tag", "location", "entity", "count", "seen", "declared")
+    __slots__ = ("tag", "parent", "index", "entity", "count", "seen", "declared")
 
-    def __init__(self, tag, location: str, entity, seen: set | None = None):
+    def __init__(self, tag, parent: _Frame | None, entity, seen: set | None = None, index: int | None = None):
         self.tag = tag
-        self.location = location
+        self.parent = parent
+        self.index = index  # the element's number among its parent's children, in a list element
         self.entity = entity
         self.count = 0
         self.seen = seen
         self.declared = 0  # NumberOfParameters, on a Parameters frame
+
+    @property
+    def location(self) -> str:
+        """The element's path, such as Project/Packages/Package[1], made
+        only when an error names it."""
+        path = self.tag if self.parent is None else f"{self.parent.location}/{self.tag}"
+        return path if self.index is None else f"{path}[{self.index}]"
 
 
 def _check(tag: str, attrs: dict, location: str, expected: str | None = None):
@@ -332,6 +336,7 @@ _RULES = {
     "MethodInvocation": (("Name", str), ("Resolved", bool)),
     "MethodException": (("Name", str),),
 }
+_COUNTS = {tag: r[0] for tag, rules in _RULES.items() for r in rules if not callable(r) and r[1] is int}
 
 
 def _check_value(tag: str, attrs: dict, location: str, name: str, kind):
@@ -346,35 +351,64 @@ def _check_value(tag: str, attrs: dict, location: str, name: str, kind):
         raise SchemaError(location, f"invalid {name} {value!r}")
 
 
-def _count(value: str, name: str, location: str) -> int:
-    """A count that passed isdecimal, as an int.
-
-    int() refuses more digits than sys.get_int_max_str_digits(), a limit
-    that PYTHONINTMAXSTRDIGITS can lower, so that is a SchemaError too.
-    """
-    try:
-        return int(value)
-    except ValueError:
-        raise SchemaError(
-            location,
-            f"attribute {name} must be a non-negative integer, "
-            f"found {len(value)} digits, more than int() accepts",
-        ) from None
-
-
 def _validate(tag: str, attrs: dict, location: str, expected: str | None = None):
-    """Raise the first error of this start tag, if any, taking its rules in
-    the reference reader's order.
+    """Raise the first error of this start tag, taking its rules in the
+    reference reader's order; a handler calls this when a build fails.
 
-    The handlers of frequent elements first test them in one expression and
-    call this only when that fails.
-    """
+    Last comes the one check 0.1.0 did not make: int() refuses more digits
+    than sys.get_int_max_str_digits(), a limit that PYTHONINTMAXSTRDIGITS
+    can lower, so such a count is a SchemaError too."""
     _check(tag, attrs, location, expected)
     for rule in _RULES.get(tag, ()):
         if callable(rule):
             rule(attrs, location)
         else:
             _check_value(tag, attrs, location, *rule)
+    name = _COUNTS.get(tag)
+    if name is not None:
+        try:
+            int(attrs[name])
+        except ValueError:
+            raise SchemaError(location, f"attribute {name} must be a non-negative integer, "
+                              f"found {len(attrs[name])} digits, more than int() accepts") from None
+
+
+# The builders make an element's entity straight from its attributes. Each
+# raises KeyError or ValueError where a rule of _RULES is broken, and the
+# start handler then calls _validate for the error to report.
+
+_ACCESS = {level: level for level in ACCESS_LEVELS}
+_CLASS_ACCESS = {level: level for level in CLASS_ACCESS_LEVELS}
+
+
+def _int(value: str) -> int:
+    """A count: decimal digits only, where int() also takes a sign or spaces."""
+    if not value.isdecimal():
+        raise ValueError(value)
+    return int(value)
+
+
+def _class(attrs: dict) -> ClassEntity:
+    cls = ClassEntity(attrs["ClassName"], _CLASS_ACCESS[attrs["classAccessLevel"]], _BOOLS[attrs["IsInterface"]])
+    if "Superclass" in attrs:
+        if cls.is_interface:
+            raise ValueError("an interface cannot carry Superclass")
+        cls.superclass = TypeRef(attrs["Superclass"], _BOOLS[attrs["SuperclassInternal"]])
+    elif "SuperclassInternal" in attrs:
+        raise ValueError("SuperclassInternal requires Superclass")
+    return cls
+
+
+def _method(attrs: dict) -> MethodEntity:
+    is_constructor, return_type = _BOOLS[attrs["IsConstructor"]], attrs.get("ReturnType")
+    if (return_type is None) != is_constructor:
+        raise ValueError("a constructor has no ReturnType, and a method has one")
+    access, is_static = _ACCESS[attrs["MethodAccessLevel"]], _BOOLS[attrs["IsStatic"]]
+    return MethodEntity(attrs["MethodName"], return_type, access, is_static, is_constructor)
+
+
+def _relation(relation: type):
+    return lambda a: relation(a["Name"], a.get("Receiver", ""), a.get("DeclaringClass", ""), _BOOLS[a["Resolved"]])
 
 
 # One start handler per parent tag. Each adds the new element's entity to
@@ -383,10 +417,9 @@ def _validate(tag: str, attrs: dict, location: str, expected: str | None = None)
 
 
 def _start_root(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    loc = "Project"
-    _validate(tag, attrs, loc, "Project")
-    parent.entity = Project(name=attrs["ProjectName"], loc=_count(attrs["LinesOfCode"], "LinesOfCode", loc))
-    r.stack.append(_Frame(tag, loc, parent.entity, set()))
+    _validate(tag, attrs, "Project", "Project")
+    parent.entity = Project(name=attrs["ProjectName"], loc=int(attrs["LinesOfCode"]))
+    r.stack.append(_Frame(tag, None, parent.entity, set()))
 
 
 def _start_only(child: str):
@@ -394,187 +427,109 @@ def _start_only(child: str):
     appear at most once (Project's Packages, Package's Classes)."""
 
     def start(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-        loc = f"{parent.location}/{tag}"
-        _check(tag, attrs, loc, child)
+        frame = _Frame(tag, parent, parent.entity)
+        _check(tag, attrs, frame.location, child)
         if parent.seen:
             raise SchemaError(parent.location, f"element {child} may appear at most once")
         parent.seen.add(tag)
-        r.stack.append(_Frame(tag, loc, parent.entity))
+        r.stack.append(frame)
 
     return start
 
 
-def _start_in_packages(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    loc = f"{parent.location}/Package[{parent.count}]"
-    _validate(tag, attrs, loc, "Package")
-    pkg = Package(qualified_name=attrs["PackageName"])
-    parent.entity.packages.append(pkg)
-    r.stack.append(_Frame(tag, loc, pkg, set()))
+def _start_list(child: str, build, into: str, opens: bool = False):
+    """The start handler of a list of child elements: build(attrs) makes
+    each one's entity for the parent entity's list into, and when opens,
+    the child's own children are read, else ignored."""
+    allowed = _ALLOWED_ATTRS[child]
 
+    def start(r: _Reader, parent: _Frame, tag: str, attrs: dict):
+        try:
+            if tag != child or not allowed.issuperset(attrs):
+                raise KeyError(tag)
+            entity = build(attrs)
+        except (KeyError, ValueError):
+            _validate(tag, attrs, f"{parent.location}/{child}[{parent.count}]", child)
+            raise
+        getattr(parent.entity, into).append(entity)
+        if opens:
+            r.stack.append(_Frame(child, parent, entity, set(), parent.count))
+        else:
+            r.skip = 1
 
-def _start_in_classes(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    loc = f"{parent.location}/Class[{parent.count}]"
-    _validate(tag, attrs, loc, "Class")
-    cls = ClassEntity(
-        name=attrs["ClassName"],
-        access_level=attrs["classAccessLevel"],
-        is_interface=_BOOLS[attrs["IsInterface"]],
-    )
-    if "Superclass" in attrs:
-        cls.superclass = TypeRef(attrs["Superclass"], _BOOLS[attrs["SuperclassInternal"]])
-    parent.entity.classes.append(cls)
-    r.stack.append(_Frame(tag, loc, cls, set()))
+    return start
 
 
 def _start_in_class(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    loc = f"{parent.location}/{tag}"
-    cls = parent.entity
+    frame = _Frame(tag, parent, parent.entity)
     if tag == "SuperInterfaces":
-        _validate(tag, attrs, loc)
+        _validate(tag, attrs, frame.location)
         if attrs:
-            cls.super_interfaces.append(TypeRef(attrs["Name"], _BOOLS[attrs["Internal"]]))
-        r.stack.append(_Frame(tag, loc, None))
-        return
-    _check(tag, attrs, loc)
-    if tag == "Attributes" or tag == "Methods":
-        if tag in parent.seen:
-            raise SchemaError(parent.location, f"element {tag} may appear at most once")
-        parent.seen.add(tag)
-        r.stack.append(_Frame(tag, loc, cls))
+            parent.entity.super_interfaces.append(TypeRef(attrs["Name"], _BOOLS[attrs["Internal"]]))
+    elif attrs or (tag != "Attributes" and tag != "Methods"):
+        _check(tag, attrs, frame.location)
+        raise SchemaError(frame.location, f"element {tag} is not allowed inside Class")
+    elif tag in parent.seen:
+        raise SchemaError(parent.location, f"element {tag} may appear at most once")
     else:
-        raise SchemaError(loc, f"element {tag} is not allowed inside Class")
+        parent.seen.add(tag)
+    r.stack.append(frame)
 
 
 def _start_in_super_interfaces(r: _Reader, parent: _Frame, tag: str, attrs: dict):
     raise SchemaError(parent.location, "SuperInterfaces cannot have children")
 
 
-def _start_in_attributes(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    level = attrs.get("AccessLevel")
-    is_static = _BOOLS.get(attrs.get("IsStatic"))
-    if (
-        tag != "Attribute"
-        or level not in ACCESS_LEVELS
-        or is_static is None
-        or attrs.keys() != _ALLOWED_ATTRS[tag]
-    ):
-        _validate(tag, attrs, f"{parent.location}/Attribute[{parent.count}]", "Attribute")
-    parent.entity.attributes.append(
-        AttributeEntity(attrs["Name"], attrs["DeclaredType"], level, is_static)
-    )
-    r.skip = 1
-
-
-def _start_in_methods(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    loc = f"{parent.location}/Method[{parent.count}]"
-    access = attrs.get("MethodAccessLevel")
-    is_constructor = _BOOLS.get(attrs.get("IsConstructor"))
-    is_static = _BOOLS.get(attrs.get("IsStatic"))
-    return_type = attrs.get("ReturnType")
-    if (
-        tag != "Method"
-        or access not in ACCESS_LEVELS
-        or is_constructor is None
-        or is_static is None
-        or (return_type is None) != is_constructor
-        or "MethodName" not in attrs
-        or len(attrs) != (4 if is_constructor else 5)
-    ):
-        _validate(tag, attrs, loc, "Method")
-    method = MethodEntity(attrs["MethodName"], return_type, access, is_static, is_constructor)
-    parent.entity.methods.append(method)
-    r.stack.append(_Frame(tag, loc, method, set()))
-
-
 def _start_in_method(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    loc = f"{parent.location}/{tag}"
     if tag in parent.seen:
         raise SchemaError(parent.location, f"element {tag} may appear at most once here")
     parent.seen.add(tag)
-    frame = _Frame(tag, loc, parent.entity)
+    frame = _Frame(tag, parent, parent.entity)
     if tag == "Parameters":
-        declared = attrs.get("NumberOfParameters", "")
-        if len(attrs) != 1 or not declared.isdecimal():
-            _validate(tag, attrs, loc)
-        frame.declared = _count(declared, "NumberOfParameters", loc)
+        try:
+            if len(attrs) != 1:
+                raise KeyError(tag)
+            frame.declared = _int(attrs["NumberOfParameters"])
+        except (KeyError, ValueError):
+            _validate(tag, attrs, frame.location)
+            raise
     elif attrs or tag not in _METHOD_PARTS:
-        _check(tag, attrs, loc)
-        raise SchemaError(loc, f"element {tag} is not allowed inside Method")
+        _check(tag, attrs, frame.location)
+        raise SchemaError(frame.location, f"element {tag} is not allowed inside Method")
     r.stack.append(frame)
-
-
-def _start_in_parameters(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    loc = f"{parent.location}/Parameter[{parent.count}]"
-    order = attrs.get("Order", "")
-    if tag != "Parameter" or not order.isdecimal() or attrs.keys() != _ALLOWED_ATTRS[tag]:
-        _validate(tag, attrs, loc, "Parameter")
-    parent.entity.parameters.append(
-        Parameter(attrs["Name"], attrs["DeclaredType"], _count(order, "Order", loc))
-    )
-    r.skip = 1
-
-
-def _start_in_local_variables(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    if tag != "LocalVariable" or attrs.keys() != _ALLOWED_ATTRS[tag]:
-        _validate(tag, attrs, f"{parent.location}/LocalVariable[{parent.count}]", "LocalVariable")
-    parent.entity.local_variables.append(LocalVariableEntity(attrs["Name"], attrs["DeclaredType"]))
-    r.skip = 1
-
-
-def _start_relations(child: str, relation: type, into: str):
-    """The start handler of AttributeAccesses or MethodInvocations: each
-    child element becomes a relation, added to the method's list into."""
-    allowed = _ALLOWED_ATTRS[child]
-
-    def start(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-        resolved = _BOOLS.get(attrs.get("Resolved"))
-        if tag != child or resolved is None or "Name" not in attrs or not allowed.issuperset(attrs):
-            _validate(tag, attrs, f"{parent.location}/{child}[{parent.count}]", child)
-        getattr(parent.entity, into).append(
-            relation(attrs["Name"], attrs.get("Receiver", ""), attrs.get("DeclaringClass", ""), resolved)
-        )
-        r.skip = 1
-
-    return start
-
-
-def _start_in_method_exceptions(r: _Reader, parent: _Frame, tag: str, attrs: dict):
-    if tag != "MethodException" or len(attrs) != 1 or "Name" not in attrs:
-        _validate(tag, attrs, f"{parent.location}/MethodException[{parent.count}]", "MethodException")
-    parent.entity.throws.append(attrs["Name"])
-    r.skip = 1
 
 
 _STARTS = {
     None: _start_root,
     "Project": _start_only("Packages"),
-    "Packages": _start_in_packages,
+    "Packages": _start_list("Package", lambda a: Package(a["PackageName"]), "packages", opens=True),
     "Package": _start_only("Classes"),
-    "Classes": _start_in_classes,
+    "Classes": _start_list("Class", _class, "classes", opens=True),
     "Class": _start_in_class,
     "SuperInterfaces": _start_in_super_interfaces,
-    "Attributes": _start_in_attributes,
-    "Methods": _start_in_methods,
+    "Attributes": _start_list("Attribute", lambda a: AttributeEntity(
+        a["Name"], a["DeclaredType"], _ACCESS[a["AccessLevel"]], _BOOLS[a["IsStatic"]]), "attributes"),
+    "Methods": _start_list("Method", _method, "methods", opens=True),
     "Method": _start_in_method,
-    "Parameters": _start_in_parameters,
-    "LocalVariables": _start_in_local_variables,
-    "AttributeAccesses": _start_relations("AttributeAccess", AccessRelation, "accesses"),
-    "MethodInvocations": _start_relations("MethodInvocation", InvocationRelation, "invocations"),
-    "MethodExceptions": _start_in_method_exceptions,
+    "Parameters": _start_list(
+        "Parameter", lambda a: Parameter(a["Name"], a["DeclaredType"], _int(a["Order"])), "parameters"),
+    "LocalVariables": _start_list(
+        "LocalVariable", lambda a: LocalVariableEntity(a["Name"], a["DeclaredType"]), "local_variables"),
+    "AttributeAccesses": _start_list("AttributeAccess", _relation(AccessRelation), "accesses"),
+    "MethodInvocations": _start_list("MethodInvocation", _relation(InvocationRelation), "invocations"),
+    "MethodExceptions": _start_list("MethodException", lambda a: a["Name"], "throws"),
 }
 
 
 # End handlers check what needs all of an element's children.
 
 
-def _end_project(frame: _Frame):
-    if not frame.seen:
-        raise SchemaError(frame.location, "missing Packages element")
+def _requires(child: str):
+    def end(frame: _Frame):
+        if child not in frame.seen:
+            raise SchemaError(frame.location, f"missing {child} element")
 
-
-def _end_method(frame: _Frame):
-    if "Parameters" not in frame.seen:
-        raise SchemaError(frame.location, "missing Parameters element")
+    return end
 
 
 def _end_parameters(frame: _Frame):
@@ -590,14 +545,14 @@ def _end_parameters(frame: _Frame):
             raise ConsistencyError(frame.location, f"parameter {p.name} has Order {p.order}, expected {i}")
 
 
-_ENDS = {"Project": _end_project, "Method": _end_method, "Parameters": _end_parameters}
+_ENDS = {"Project": _requires("Packages"), "Method": _requires("Parameters"), "Parameters": _end_parameters}
 
 
 class _Reader:
     """expat's start and end handlers over a stack of frames."""
 
     def __init__(self):
-        self.document = _Frame(None, "document", None)
+        self.document = _Frame(None, None, None)
         self.stack = [self.document]
         self.skip = 0  # open elements whose content is ignored
 
