@@ -17,11 +17,12 @@ from __future__ import annotations
 import copy
 import random
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
 from oodoc.errors import ConsistencyError, SchemaError
-from oodoc.xmlio import parse_model, serialize_model
+from oodoc.xmlio import _ATTRS, parse_model, serialize_model
 
 from genmodels import random_project
 from oracles import reference_parse_model
@@ -233,3 +234,53 @@ def test_a_count_int_cannot_read_is_a_schema_error():
         reference_parse_model(text)
     assert outcome(parse_model, text) == (
         "SchemaError", "Project", "attribute LinesOfCode must be a non-negative integer, found '²'")
+
+
+_METHOD_HEAD = ('<Methods><Method MethodName="m" MethodAccessLevel="public" ReturnType="void" '
+                'IsStatic="false" IsConstructor="false">')
+# each element's context: a valid document with {} where its start tag's
+# attributes go
+_CONTEXTS = {
+    "Class": _document('<Packages><Package PackageName="p"><Classes><Class{}><SuperInterfaces/>'
+                       "<Attributes/><Methods/></Class></Classes></Package></Packages>"),
+    "Attribute": _class("<Attributes><Attribute{}/></Attributes>"),
+    "Method": _class('<Methods><Method{}><Parameters NumberOfParameters="0"/></Method></Methods>'),
+    "Parameter": _class(f'{_METHOD_HEAD}<Parameters NumberOfParameters="1"><Parameter{{}}/>'
+                        "</Parameters></Method></Methods>"),
+    **{
+        child: _class(f'{_METHOD_HEAD}<Parameters NumberOfParameters="0"/><{parent}><{child}{{}}/>'
+                      f"</{parent}></Method></Methods>")
+        for parent, child in (("LocalVariables", "LocalVariable"), ("AttributeAccesses", "AttributeAccess"),
+                              ("MethodInvocations", "MethodInvocation"), ("MethodExceptions", "MethodException"))
+    },
+}
+# a value each attribute may take, so that many drawn start tags are valid
+_VALID = {
+    "ClassName": "A", "classAccessLevel": "public", "IsInterface": "false", "Superclass": "B",
+    "SuperclassInternal": "true", "Name": "a", "DeclaredType": "int", "AccessLevel": "private",
+    "IsStatic": "false", "MethodName": "m", "MethodAccessLevel": "public", "ReturnType": "void",
+    "IsConstructor": "false", "Order": "0", "Receiver": "this", "DeclaringClass": "A", "Resolved": "true",
+}
+PARITY_CASES = 1500
+
+
+@pytest.mark.parametrize("tag", list(_CONTEXTS))
+def test_each_start_tag_matches_the_reference_exactly(tag):
+    # the reader builds an element first and checks its rules only when the
+    # build fails; on any one start tag, the outcome is still 0.1.0's
+    rng = random.Random(f"{SEED}-{tag}")
+    seen = {"ok": 0, "error": 0}
+    for _ in range(PARITY_CASES):
+        attrs = {name: _VALID[name] if rng.random() < 0.5 else rng.choice(VALUES)
+                 for name in _ATTRS[tag] if rng.random() < 0.85}
+        if rng.random() < 0.1:
+            attrs["Color"] = rng.choice(VALUES)
+        text = _CONTEXTS[tag].format("".join(f" {name}={quoteattr(value)}" for name, value in attrs.items()))
+        new, old = outcome(parse_model, text), reference_outcome(text)
+        if isinstance(old, tuple) and old[0] == "ValueError":
+            # 0.1.0 read a count with str.isdigit and then int()
+            assert new[0] == "SchemaError" and "must be a non-negative integer" in new[2], (text, new)
+        else:
+            assert new == old, text
+        seen["error" if isinstance(new, tuple) else "ok"] += 1
+    assert min(seen.values()) >= PARITY_CASES // 20, seen

@@ -306,6 +306,24 @@ def test_count_too_long_for_int_is_schema_error(name, location, digits):
     assert f"attribute {name} must be a non-negative integer" in exc.value.message
 
 
+
+_METHOD_1 = "Project/Packages/Package[1]/Classes/Class[1]/Methods/Method[1]"
+
+
+@pytest.mark.parametrize("document, location, message", [
+    (one_parameter_document(order="1" * 5000).replace(' Name="a"', ""), f"{_METHOD_1}/Parameters/Parameter[1]",
+     "missing attribute Name on Parameter"),
+    (one_parameter_document(declared="1" * 5000).replace("<Parameters ", '<Parameters Color="x" '),
+     f"{_METHOD_1}/Parameters", "unknown attribute Color on Parameters"),
+    (one_parameter_document(loc="1" * 5000).replace('ProjectName="P" ', ""), "Project",
+     "missing attribute ProjectName on Project"),
+], ids=["Parameter", "Parameters", "Project"])
+def test_count_too_long_for_int_is_checked_after_the_other_rules(document, location, message):
+    # every other rule of the start tag is reported before the count's size
+    with pytest.raises(SchemaError) as exc:
+        parse_model(document)
+    assert (exc.value.location, exc.value.message) == (location, message)
+
 def test_hand_written_minimal_document():
     doc = (
         '<Project ProjectName="tiny" LinesOfCode="7">'
