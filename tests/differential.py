@@ -1,25 +1,35 @@
-"""Parent-against-change differential of the parser on seeded inputs.
+"""Parent-against-change differential of the parser and the XML reader on
+seeded inputs.
 
     python3 tests/differential.py --parent DIR --change DIR
 
 Each DIR is a checkout of this repository, such as the parent commit
 unpacked with `git archive` into a scratch directory. Each side parses in
 its own interpreter with PYTHONPATH set to DIR/src. The inputs come from
-this script's own generators, so both sides read the same texts:
+this script's own generators, so both sides read the same texts (an XML
+document is written by the side's own writer, which is byte-stable):
 
 - mutants: 2,000 mutants of the fixture (test_lexer.mutate on
   fixture_files[i % n], seed 20161018), the 1,200-mutant property's loop
   run to 2,000;
 - insertions: 3,000 fixture files, each with one snippet inserted as a
   statement or a member: code outside the subset and recovery edge cases;
+- declarations: each fixture file followed by one more top-level type,
+  with a flag a type may carry (abstract, final) or one only a member may
+  (static, native, default, synchronized, transient);
 - fixture: the drawing-shapes fixture;
 - wide-N and heavy-N: bench/corpus.py's wide (3,000 classes) and heavy (150
-  classes) corpora for seeds 1-3.
+  classes) corpora for seeds 1-3;
+- xml-mutants: 3,000 test_xml_reader.mutant documents (seed 20160603) of
+  the fixture's model and of a generated model that uses every element,
+  read with xmlio.parse_model.
 
-Per file the outcome is the failure's line and message, or the LoC, the
-warnings and the harvest: classes with their supertypes, attributes,
-methods with their parameters, locals, invocations and accesses. For each
-input set the script prints both sides' failed and parsed counts and each
+Per source file the outcome is the failure's line and message, or the LoC,
+the warnings and the harvest: classes with their supertypes, attributes,
+methods with their parameters, locals, invocations and accesses. Per XML
+document it is the error's class, location and message, or the project's
+name, its LoC and a digest of its sorted evaluation links. For each input
+set the script prints both sides' failed and parsed counts and each
 changed outcome as "parent → change: count", with the first input that
 shows it. It gates nothing, and pytest does not collect it.
 """
@@ -27,6 +37,7 @@ shows it. It gates nothing, and pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -40,8 +51,11 @@ SEED = 20161018
 MUTANTS = 2000
 INSERTIONS = 3000
 CORPUS_SEEDS = (1, 2, 3)
-SETS = ("mutants", "insertions", "fixture",
-        *(f"{kind}-{seed}" for seed in CORPUS_SEEDS for kind in ("wide", "heavy")))
+XML_SEED = 20160603
+XML_MUTANTS = 3000
+XML_SET = "xml-mutants"
+SETS = ("mutants", "insertions", "declarations", "fixture",
+        *(f"{kind}-{seed}" for seed in CORPUS_SEEDS for kind in ("wide", "heavy")), XML_SET)
 
 # Inserted after a line that ends a method or block header with ") {".
 STATEMENT_SNIPPETS = (
@@ -98,6 +112,12 @@ MEMBER_SNIPPETS = (
     "enum E { A, B }",
 )
 
+# Appended to a fixture file as a second top-level type.
+DECLARATION_SNIPPETS = (
+    "abstract class Extra { }", "final class Extra { }", "static class Extra { }", "native class Extra { }",
+    "default class Extra { }", "synchronized class Extra { }", "transient interface Extra { }",
+)
+
 
 def insert_snippet(text: str, rng: random.Random) -> str:
     lines = text.split("\n")
@@ -111,14 +131,44 @@ def insert_snippet(text: str, rng: random.Random) -> str:
     return "\n".join(lines[:at + 1] + [snippet] + lines[at + 1:])
 
 
+def xml_inputs():
+    """(label, text) of each XML mutant, in order."""
+    import xml.etree.ElementTree as ET
+
+    from oodoc.xmlio import serialize_model
+
+    from conftest import load_fixture_project
+    from genmodels import random_project
+    from test_xml_reader import TAGS, mutant
+
+    rng = random.Random(XML_SEED)
+    generated = next(
+        p for p in (random_project(rng) for _ in range(1000))
+        if set(TAGS[:20]) <= {e.tag for e in ET.fromstring(serialize_model(p)).iter()}
+    )
+    documents = {"fixture": ET.fromstring(serialize_model(load_fixture_project())),
+                 "generated": ET.fromstring(serialize_model(generated))}
+    out = []
+    for index in range(XML_MUTANTS):
+        # the fixture's document is three times the size of the generated one
+        base = "fixture" if rng.random() < 0.3 else "generated"
+        out.append((f"{base}#{index}", mutant(documents[base], rng)))
+    return out
+
+
 def inputs(name: str):
     """(path, text) of each input in the set, in order."""
     from oodoc.sources import scan_directory
+
+    if name == XML_SET:
+        return xml_inputs()
 
     root = HERE / "fixtures" / "drawing_shapes"
     fixture = [(os.path.relpath(f.path, root), f.text) for f in scan_directory(root)]
     if name == "fixture":
         return fixture
+    if name == "declarations":
+        return [(path, f"{text}\n{snippet}\n") for path, text in fixture for snippet in DECLARATION_SNIPPETS]
     if name == "mutants":
         from test_lexer import mutate
 
@@ -159,14 +209,25 @@ def harvest(tree) -> list[str]:
 def print_outcomes(name: str):
     """One JSON line per input of the set: [path, outcome]."""
     import oodoc
-    from oodoc.errors import ParseFailure
+    from oodoc.errors import ConsistencyError, ParseFailure, SchemaError
+    from oodoc.evaluation import extract_links
     from oodoc.parsing import parse_file
     from oodoc.sources import SourceFile
+    from oodoc.xmlio import parse_model
 
     src = os.environ["PYTHONPATH"].split(os.pathsep)[0]
     if not Path(oodoc.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"oodoc was imported from {oodoc.__file__}, not from {src}")
     for path, text in inputs(name):
+        if name == XML_SET:
+            try:
+                project = parse_model(text)
+                links = hashlib.sha256("\n".join(sorted(extract_links(project))).encode()).hexdigest()
+                outcome = ["parsed", project.name, project.loc, links[:16]]
+            except (SchemaError, ConsistencyError) as exc:
+                outcome = ["failed", type(exc).__name__, exc.location, exc.message]
+            print(json.dumps([path, outcome]))
+            continue
         try:
             tree = parse_file(SourceFile(path, text))
             outcome = ["parsed", tree.loc, [[w.line, w.message] for w in tree.warnings], harvest(tree)]
@@ -182,10 +243,12 @@ def side_outcomes(root: str, name: str) -> list:
     return [json.loads(line) for line in run.stdout.splitlines()]
 
 
-def compare(old: list, new: list) -> str:
-    """The class of a changed outcome."""
+def compare(name: str, old: list, new: list) -> str:
+    """The class of a changed outcome in input set name."""
     if old[0] != new[0]:
         return f"{old[0]} → {new[0]}"
+    if name == XML_SET:
+        return "failed → failed with another error" if old[0] == "failed" else "parsed → parsed, another model"
     if old[0] == "failed":
         return "failed → failed at another line or with another message"
     parts = []
@@ -225,7 +288,7 @@ def main(argv=None):
         first: dict[str, str] = {}
         for index, ((path, old), (_, new)) in enumerate(zip(parent, change)):
             if old != new:
-                kind = compare(old, new)
+                kind = compare(name, old, new)
                 changed[kind] += 1
                 first.setdefault(kind, f"{name}#{index} {path}")
         for kind, count in changed.most_common():
