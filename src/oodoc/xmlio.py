@@ -251,9 +251,8 @@ _METHOD_PARTS = {
 
 
 class _Frame:
-    """An open element: its tag, its parent's frame and its place among
-    the parent's children, the entity its children go into, how many
-    children it has had, and the child tags already seen."""
+    """An open element: its tag, its parent's frame, its place in a list,
+    the entity its children go into, its child count and child tags seen."""
 
     __slots__ = ("tag", "parent", "index", "entity", "count", "seen", "declared")
 
@@ -336,7 +335,7 @@ _RULES = {
     "MethodInvocation": (("Name", str), ("Resolved", bool)),
     "MethodException": (("Name", str),),
 }
-_COUNTS = {tag: r[0] for tag, rules in _RULES.items() for r in rules if not callable(r) and r[1] is int}
+_COUNTS = {tag: rule[0] for tag, rules in _RULES.items() for rule in rules if not callable(rule) and rule[1] is int}
 
 
 def _check_value(tag: str, attrs: dict, location: str, name: str, kind):
@@ -352,8 +351,9 @@ def _check_value(tag: str, attrs: dict, location: str, name: str, kind):
 
 
 def _validate(tag: str, attrs: dict, location: str, expected: str | None = None):
-    """Raise the first error of this start tag, taking its rules in the
-    reference reader's order; a handler calls this when a build fails.
+    """Raise the first error of this start tag, if any, in the reference
+    reader's order; a handler that builds the entity first calls this only
+    when the build fails.
 
     Last comes the one check 0.1.0 did not make: int() refuses more digits
     than sys.get_int_max_str_digits(), a limit that PYTHONINTMAXSTRDIGITS

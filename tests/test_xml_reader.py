@@ -10,6 +10,10 @@ reported "not well-formed" before any other problem. Most rejected mutants
 still give the same error. The one other divergence allowed is a fault of
 0.1.0 kept in oracles.reference_parse_model: a count made of digits that
 int() does not read, such as "²", raised ValueError; it is now a SchemaError.
+
+On one broken start tag alone in a valid document, the two readers give
+the same outcome exactly: the streaming reader builds each element first
+and checks its rules only when the build fails, in 0.1.0's order.
 """
 
 from __future__ import annotations
