@@ -11,8 +11,9 @@ bodies made of local variable declarations, assignments, call expressions,
 field accesses and the if/else, for, while, switch, return and block
 statements. Parameters and locals may be final, a top-level type may be
 abstract or final, and members may carry the flags static, final,
-abstract, transient, volatile, native, synchronized and default. An annotation on a declaration, a member or a parameter costs
-itself and a warning. Any other construct outside the subset costs the
+abstract, transient, volatile, native, synchronized and default. An
+annotation on a declaration, a member or a parameter costs itself and a
+warning. Any other construct outside the subset costs the
 smallest of five units that holds it, with one warning: a top-level
 declaration (an enum, a generic type), a member (a nested type, an
 initializer block, type arguments, varargs), an attribute initializer (the

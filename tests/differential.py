@@ -206,34 +206,41 @@ def harvest(tree) -> list[str]:
     return out
 
 
+def source_outcome(path: str, text: str) -> list:
+    from oodoc.errors import ParseFailure
+    from oodoc.parsing import parse_file
+    from oodoc.sources import SourceFile
+
+    try:
+        tree = parse_file(SourceFile(path, text))
+        return ["parsed", tree.loc, [[w.line, w.message] for w in tree.warnings], harvest(tree)]
+    except ParseFailure as exc:
+        return ["failed", exc.line, exc.message]
+
+
+def model_outcome(path: str, text: str) -> list:
+    from oodoc.errors import ConsistencyError, SchemaError
+    from oodoc.evaluation import extract_links
+    from oodoc.xmlio import parse_model
+
+    try:
+        project = parse_model(text)
+    except (SchemaError, ConsistencyError) as exc:
+        return ["failed", type(exc).__name__, exc.location, exc.message]
+    links = hashlib.sha256("\n".join(sorted(extract_links(project))).encode()).hexdigest()
+    return ["parsed", project.name, project.loc, links[:16]]
+
+
 def print_outcomes(name: str):
     """One JSON line per input of the set: [path, outcome]."""
     import oodoc
-    from oodoc.errors import ConsistencyError, ParseFailure, SchemaError
-    from oodoc.evaluation import extract_links
-    from oodoc.parsing import parse_file
-    from oodoc.sources import SourceFile
-    from oodoc.xmlio import parse_model
 
     src = os.environ["PYTHONPATH"].split(os.pathsep)[0]
     if not Path(oodoc.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"oodoc was imported from {oodoc.__file__}, not from {src}")
+    outcome = model_outcome if name == XML_SET else source_outcome
     for path, text in inputs(name):
-        if name == XML_SET:
-            try:
-                project = parse_model(text)
-                links = hashlib.sha256("\n".join(sorted(extract_links(project))).encode()).hexdigest()
-                outcome = ["parsed", project.name, project.loc, links[:16]]
-            except (SchemaError, ConsistencyError) as exc:
-                outcome = ["failed", type(exc).__name__, exc.location, exc.message]
-            print(json.dumps([path, outcome]))
-            continue
-        try:
-            tree = parse_file(SourceFile(path, text))
-            outcome = ["parsed", tree.loc, [[w.line, w.message] for w in tree.warnings], harvest(tree)]
-        except ParseFailure as exc:
-            outcome = ["failed", exc.line, exc.message]
-        print(json.dumps([path, outcome]))
+        print(json.dumps([path, outcome(path, text)]))
 
 
 def side_outcomes(root: str, name: str) -> list:
